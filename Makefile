@@ -4,9 +4,9 @@ GOFMT ?= gofmt
 # BENCH_ID numbers the committed benchmark snapshot (BENCH_$(BENCH_ID).json);
 # bump it when a PR re-baselines the perf gate.
 BENCH_ID ?= 10
-BENCH_PATTERN = GIOPRequestEncode|GIOPRequestDecode|GIOPReplyDecode|SerializedInvocations|PipelinedInvocations|InvokePipelined
+BENCH_PATTERN = GIOPRequestEncode|GIOPRequestDecode|GIOPReplyDecode|SerializedInvocations|PipelinedInvocations
 
-.PHONY: check fmt-check vet build test bench-smoke bench bench-json bench-compare fuzz-smoke chaos-smoke metrics-smoke dr-smoke
+.PHONY: check fmt-check vet build test bench-smoke bench-module bench bench-json bench-compare fuzz-smoke chaos-smoke metrics-smoke dr-smoke
 
 ## check: the full verification gate — formatting, static analysis, build,
 ## race-enabled tests, and a one-iteration smoke pass over every benchmark
@@ -58,6 +58,13 @@ dr-smoke:
 ## measurement run.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
+
+## bench-module: vet, build and smoke-test the nested meadbench module under
+## bench/. It is its own Go module (it imports mead/internal/... through a
+## replace directive), so `go build ./... && go test ./...` at the root never
+## compiles it; run this whenever a package it imports changes.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) build -o /dev/null ./... && $(GO) test ./...
 
 ## bench: a real measurement pass over the transport benchmarks used in
 ## EXPERIMENTS.md (encode/decode micro-benches and serialized-vs-pipelined

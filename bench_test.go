@@ -3,7 +3,6 @@ package mead
 import (
 	"bytes"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -517,17 +516,4 @@ func BenchmarkPipelinedInvocations(b *testing.B) {
 			runInvocationBench(b, callers, true)
 		})
 	}
-}
-
-// BenchmarkInvokePipelined is the multi-core wire-path headline: 64
-// concurrent callers over a striped pool (one stripe per core, placed by
-// power-of-two-choices) with request batching coalescing their bursts into
-// vectored batch frames, against a server sharding accepts across cores.
-// Compare across -cpu 1,2,4 — the striped path is what lets throughput
-// scale with GOMAXPROCS instead of serializing on one connection writer.
-func BenchmarkInvokePipelined(b *testing.B) {
-	stripes := runtime.GOMAXPROCS(0)
-	runInvocationBench(b, 64, true,
-		orb.WithPoolStripes(stripes),
-		orb.WithRequestBatching())
 }

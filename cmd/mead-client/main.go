@@ -30,8 +30,6 @@ func run(args []string) error {
 		period    = fs.Duration("period", time.Millisecond, "request period")
 		csvPath   = fs.String("csv", "", "write per-invocation RTTs to this CSV file")
 		pool      = fs.Bool("pool", false, "share one multiplexed connection per replica (reactive and location-forward schemes only)")
-		stripes   = fs.Int("stripes", 0, "pooled connections per replica address (with -pool; 0/1 = one)")
-		batch     = fs.Bool("batch", false, "coalesce concurrent requests into batch frames (with -pool; servers from this deployment only)")
 		metrics   = fs.String("metrics", "", "serve metrics (/metrics) and the recovery trace (/trace) on this address, e.g. 127.0.0.1:9091")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -43,14 +41,12 @@ func run(args []string) error {
 	}
 	tel := mead.NewTelemetry(scheme.String())
 	strat, err := mead.NewClient(mead.ClientConfig{
-		Scheme:      scheme,
-		Service:     *service,
-		NamesAddr:   *namesAddr,
-		HubAddr:     *hubAddr,
-		SharedPool:  *pool,
-		PoolStripes: *stripes,
-		Batching:    *batch,
-		Telemetry:   tel,
+		Scheme:     scheme,
+		Service:    *service,
+		NamesAddr:  *namesAddr,
+		HubAddr:    *hubAddr,
+		SharedPool: *pool,
+		Telemetry:  tel,
 	})
 	if err != nil {
 		return err

@@ -90,15 +90,6 @@ type Config struct {
 	// (NEEDS_ADDRESSING, MEAD) assume one in-flight request per connection
 	// and reject it.
 	SharedPool bool
-	// PoolStripes widens the shared pool to N multiplexed connections per
-	// replica address (0 or 1 means one). Placement is power-of-two-choices
-	// on the per-stripe in-flight count. Only meaningful with SharedPool.
-	PoolStripes int
-	// Batching lets the pooled transport coalesce concurrent request bursts
-	// into single batch frames — a vendor extension that only servers built
-	// from this codebase decode, so enable it only inside this deployment.
-	// Only meaningful with SharedPool.
-	Batching bool
 	// Telemetry, when set, is threaded through the ORB and interceptor and
 	// additionally records application-visible exceptions (labelled with
 	// the replica the client was bound to) and steady/fail-over round-trip
@@ -150,17 +141,9 @@ func New(cfg Config) (Strategy, error) {
 		switch cfg.Scheme {
 		case ftmgr.ReactiveNoCache, ftmgr.ReactiveCache, ftmgr.LocationForward:
 			baseOpts = append(baseOpts, orb.WithConnectionPool())
-			if cfg.PoolStripes > 1 {
-				baseOpts = append(baseOpts, orb.WithPoolStripes(cfg.PoolStripes))
-			}
-			if cfg.Batching {
-				baseOpts = append(baseOpts, orb.WithRequestBatching())
-			}
 		default:
 			return nil, fmt.Errorf("client: SharedPool is incompatible with scheme %v (its interceptor assumes one in-flight request per connection)", cfg.Scheme)
 		}
-	} else if cfg.PoolStripes > 1 || cfg.Batching {
-		return nil, errors.New("client: PoolStripes/Batching require SharedPool")
 	}
 	switch cfg.Scheme {
 	case ftmgr.ReactiveNoCache, ftmgr.ReactiveCache:

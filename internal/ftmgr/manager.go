@@ -427,25 +427,6 @@ func (m *Manager) noteRequest() {
 	}
 }
 
-// noteServerRequest applies the read-side per-request bookkeeping for one
-// inbound Request body — standalone or unwrapped from a batch frame.
-func (m *Manager) noteServerRequest(st *connState, order cdr.ByteOrder, body []byte) {
-	m.noteRequest()
-	if m.cfg.Scheme == LocationForward {
-		// Full request parsing: the dominant cost of this scheme (90% RTT
-		// overhead in the paper). The decoded header borrows the frame
-		// buffer, so the object key is copied into state that outlives
-		// this hook call.
-		hdr, d, err := giop.DecodeRequest(order, body)
-		if err == nil {
-			st.lastRequestID = hdr.RequestID
-			st.lastObjectKey = append(st.lastObjectKey[:0], hdr.ObjectKey...)
-			st.haveRequest = true
-			d.Release()
-		}
-	}
-}
-
 // connState is the per-connection request tracking the LOCATION_FORWARD
 // scheme needs ("we need to parse incoming GIOP Request messages to extract
 // the request id field so that we can generate corresponding
@@ -463,24 +444,24 @@ func (m *Manager) WrapServerConn(conn net.Conn) net.Conn {
 	st := &connState{}
 	hooks := interceptor.Hooks{
 		OnReadFrame: func(c *interceptor.Conn, f giop.Frame) ([]byte, error) {
-			if f.Kind != giop.FrameGIOP {
+			// Anything but a Request — including types GIOP does not define,
+			// which the ORB itself rejects — passes through unobserved.
+			if f.Kind != giop.FrameGIOP || f.Header.Type != giop.MsgRequest {
 				return f.Raw, nil
 			}
-			switch f.Header.Type {
-			case giop.MsgRequest:
-				m.noteServerRequest(st, f.Header.Order, f.Body())
-			case giop.MsgBatch:
-				// A batched client burst: apply the same per-request
-				// bookkeeping to every sub-request so threshold triggering
-				// and LOCATION_FORWARD id tracking observe batched and
-				// unbatched clients identically. A malformed batch is left
-				// for the ORB itself to reject.
-				_ = giop.ForEachInBatch(f.Body(), func(sh giop.Header, sbody []byte) error {
-					if sh.Type == giop.MsgRequest {
-						m.noteServerRequest(st, sh.Order, sbody)
-					}
-					return nil
-				})
+			m.noteRequest()
+			if m.cfg.Scheme == LocationForward {
+				// Full request parsing: the dominant cost of this scheme (90%
+				// RTT overhead in the paper). The decoded header borrows the
+				// frame buffer, so the object key is copied into state that
+				// outlives this hook call.
+				hdr, d, err := giop.DecodeRequest(f.Header.Order, f.Body())
+				if err == nil {
+					st.lastRequestID = hdr.RequestID
+					st.lastObjectKey = append(st.lastObjectKey[:0], hdr.ObjectKey...)
+					st.haveRequest = true
+					d.Release()
+				}
 			}
 			return f.Raw, nil
 		},

@@ -1,6 +1,9 @@
 package ftmgr
 
 import (
+	"bytes"
+	"io"
+	"net"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -380,5 +383,52 @@ func TestCheckThresholdsCountsFromWritePath(t *testing.T) {
 	}
 	if n1.m.Migrations() != 1 {
 		t.Fatalf("migrations = %d", n1.m.Migrations())
+	}
+}
+
+// TestServerReadHookObservesOnlyRequests feeds the server-side interceptor a
+// frame of a type GIOP does not define (8, which old peers of this repo may
+// still emit) wrapping a well-formed Request, then the Request on its own.
+// Both pass through byte for byte; only the real Request is bookkept.
+func TestServerReadHookObservesOnlyRequests(t *testing.T) {
+	h := startHub(t)
+	var first atomic.Int32
+	m, err := NewManager(Config{
+		ReplicaName:    "r1",
+		Group:          testGroup,
+		Scheme:         LocationForward,
+		Monitor:        budgetAt(t, 0),
+		Member:         dialMember(t, h, "r1"),
+		OnFirstRequest: func() { first.Add(1) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, under := net.Pipe()
+	defer peer.Close()
+	conn := m.WrapServerConn(under)
+	defer conn.Close()
+
+	req := giop.EncodeRequest(cdr.BigEndian, giop.RequestHeader{
+		RequestID: 41, ResponseExpected: true, ObjectKey: []byte("key"), Operation: "op",
+	}, nil)
+	pass := func(frame []byte) {
+		t.Helper()
+		go func() { _, _ = peer.Write(frame) }()
+		got := make([]byte, len(frame))
+		if _, err := io.ReadFull(conn, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, frame) {
+			t.Fatal("frame altered in passing")
+		}
+	}
+	pass(giop.EncodeMessage(cdr.BigEndian, giop.MsgType(8), req))
+	if n := first.Load(); n != 0 {
+		t.Fatalf("a type-8 frame counted as %d requests", n)
+	}
+	pass(req)
+	if n := first.Load(); n != 1 {
+		t.Fatalf("first-request callbacks after a real Request = %d, want 1", n)
 	}
 }

@@ -1,9 +1,6 @@
 package giop
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Pooled inbound message buffers.
 //
@@ -19,9 +16,7 @@ import (
 // owns it until it hands it off (e.g. through a reply channel or to a
 // dispatch goroutine); exactly one owner calls Release, after which the
 // buffer — and everything borrowed from it by the zero-copy decoders — is
-// dead. Batch frames relax this to a reference count: each sub-request
-// dispatched from one batch body Retains the buffer, and the last Release
-// recycles it (docs/PROTOCOL.md §10).
+// dead.
 
 // msgBufClasses are the pooled capacity classes. Class 0 covers the common
 // small request/reply bodies, class 1 typical argument payloads, class 2
@@ -44,8 +39,7 @@ func init() {
 // a bare slice) round-trips through sync.Pool without boxing allocations,
 // which is what keeps Release itself free.
 type MsgBuf struct {
-	b    []byte
-	refs atomic.Int32
+	b []byte
 }
 
 // Bytes returns the buffer's current contents.
@@ -68,32 +62,19 @@ func classFor(n int) int {
 func GetMsgBuf(n int) *MsgBuf {
 	ci := classFor(n)
 	if ci < 0 {
-		m := &MsgBuf{b: make([]byte, n)}
-		m.refs.Store(1)
-		return m
+		return &MsgBuf{b: make([]byte, n)}
 	}
 	m := msgBufPools[ci].Get().(*MsgBuf)
-	m.refs.Store(1)
 	m.b = m.b[:n]
 	return m
 }
 
-// Retain adds a reference: one extra Release is then required before the
-// buffer recycles. The server uses it to dispatch the sub-requests of one
-// batch frame concurrently while they all borrow the same body.
-func (m *MsgBuf) Retain() {
-	m.refs.Add(1)
-}
-
-// Release drops one reference; the last one returns the buffer to its
-// size-class pool. The releasing caller must not touch the MsgBuf, its
-// Bytes, or any slice borrowed from them afterwards. Release on nil is a
-// no-op so error paths can release unconditionally.
+// Release returns the buffer to its size-class pool. The releasing caller
+// must not touch the MsgBuf, its Bytes, or any slice borrowed from them
+// afterwards. Release on nil is a no-op so error paths can release
+// unconditionally.
 func (m *MsgBuf) Release() {
 	if m == nil {
-		return
-	}
-	if m.refs.Add(-1) > 0 {
 		return
 	}
 	c := cap(m.b)
@@ -124,7 +105,6 @@ func (m *MsgBuf) grow(n int) {
 		// Hand the old array back under the recycled wrapper — only after
 		// the copy above: once released, a concurrent reader may own it.
 		r.b = old
-		r.refs.Store(1)
 		r.Release()
 	} else {
 		// Beyond the top class: grow geometrically so a long fragment train
@@ -135,9 +115,7 @@ func (m *MsgBuf) grow(n int) {
 		}
 		nb = make([]byte, n, capNeed)
 		copy(nb, old)
-		rel := &MsgBuf{b: old}
-		rel.refs.Store(1)
-		rel.Release()
+		(&MsgBuf{b: old}).Release()
 	}
 	m.b = nb
 }

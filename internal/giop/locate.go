@@ -39,21 +39,19 @@ type LocateRequestHeader struct {
 	ObjectKey []byte
 }
 
-// EncodeLocateRequest renders a complete LocateRequest message.
+// EncodeLocateRequest renders a complete LocateRequest message into a
+// buffer the caller owns.
 func EncodeLocateRequest(order cdr.ByteOrder, hdr LocateRequestHeader) []byte {
-	e := beginMessage(order)
-	e.WriteULong(hdr.RequestID)
-	e.WriteOctets(hdr.ObjectKey)
-	return finishMessage(e, order, MsgLocateRequest)
+	return copyOut(EncodeLocateRequestPooled(order, hdr))
 }
 
 // EncodeLocateRequestPooled is EncodeLocateRequest without the final copy;
-// ownership of the returned encoder follows finishMessagePooled.
+// ownership of the returned encoder follows finishMessage.
 func EncodeLocateRequestPooled(order cdr.ByteOrder, hdr LocateRequestHeader) *cdr.Encoder {
 	e := beginMessage(order)
 	e.WriteULong(hdr.RequestID)
 	e.WriteOctets(hdr.ObjectKey)
-	return finishMessagePooled(e, order, MsgLocateRequest)
+	return finishMessage(e, order, MsgLocateRequest)
 }
 
 // DecodeLocateRequest parses a LocateRequest body.
@@ -86,7 +84,7 @@ func EncodeLocateReply(order cdr.ByteOrder, hdr LocateReplyHeader, forward *IOR)
 		e.Rebase() // the forwarded IOR forms its own alignment origin
 		EncodeIOR(e, *forward)
 	}
-	return finishMessage(e, order, MsgLocateReply)
+	return copyOut(finishMessage(e, order, MsgLocateReply))
 }
 
 // DecodeLocateReply parses a LocateReply body, returning the forwarded IOR

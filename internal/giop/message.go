@@ -86,8 +86,6 @@ func (t MsgType) String() string {
 		return "MessageError"
 	case MsgFragment:
 		return "Fragment"
-	case MsgBatch:
-		return "Batch"
 	default:
 		return fmt.Sprintf("MsgType(%d)", uint8(t))
 	}
@@ -196,34 +194,27 @@ func beginMessage(order cdr.ByteOrder) *cdr.Encoder {
 	return e
 }
 
-// finishMessage patches the GIOP header over the placeholder, copies the
-// completed message into an exactly sized buffer (the encode path's single
-// allocation), and releases the pooled encoder.
-func finishMessage(e *cdr.Encoder, order cdr.ByteOrder, t MsgType) []byte {
-	buf := e.Bytes()
-	putHeader(buf, Header{
-		Major: VersionMajor, Minor: VersionMinor,
-		Order: order, Type: t, Size: uint32(len(buf) - HeaderLen),
-	})
-	out := make([]byte, len(buf))
-	copy(out, buf)
-	e.Release()
-	return out
-}
-
-// finishMessagePooled patches the GIOP header over the placeholder and
-// returns the pooled encoder itself instead of copying the message out: the
-// vectored-write fast path. Ownership of the encoder transfers to the
-// caller, who hands it to a connection writer; the writer Releases it after
-// the transport write returns (docs/PROTOCOL.md §10), which is what removes
-// finishMessage's per-message copy and allocation.
-func finishMessagePooled(e *cdr.Encoder, order cdr.ByteOrder, t MsgType) *cdr.Encoder {
+// finishMessage patches the GIOP header over the placeholder and returns
+// the pooled encoder, whose Bytes are now the complete wire frame. Ownership
+// of the encoder transfers to the caller: the Encode…Pooled forms hand it to
+// a connection writer, which Releases it after the transport write returns
+// (docs/PROTOCOL.md §10); the copying forms pass it straight to copyOut.
+func finishMessage(e *cdr.Encoder, order cdr.ByteOrder, t MsgType) *cdr.Encoder {
 	buf := e.Bytes()
 	putHeader(buf, Header{
 		Major: VersionMajor, Minor: VersionMinor,
 		Order: order, Type: t, Size: uint32(len(buf) - HeaderLen),
 	})
 	return e
+}
+
+// copyOut copies a finished message into an exactly sized buffer (the
+// copying encode path's single allocation) and releases the pooled encoder.
+func copyOut(e *cdr.Encoder) []byte {
+	out := make([]byte, len(e.Bytes()))
+	copy(out, e.Bytes())
+	e.Release()
+	return out
 }
 
 // WriteMessage writes a complete GIOP message to w.

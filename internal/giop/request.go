@@ -122,30 +122,19 @@ type RequestHeader struct {
 	Principal        []byte
 }
 
-// EncodeRequest renders a complete GIOP Request message. writeArgs, if
-// non-nil, encodes the operation arguments; they form their own CDR
-// alignment origin (see Decoder.Rest), so both peers agree on padding
-// regardless of the header's length.
+// EncodeRequest renders a complete GIOP Request message into a buffer the
+// caller owns. writeArgs, if non-nil, encodes the operation arguments; they
+// form their own CDR alignment origin (see Decoder.Rest), so both peers
+// agree on padding regardless of the header's length.
 func EncodeRequest(order cdr.ByteOrder, hdr RequestHeader, writeArgs func(*cdr.Encoder)) []byte {
-	e := beginMessage(order)
-	encodeServiceContexts(e, hdr.ServiceContexts)
-	e.WriteULong(hdr.RequestID)
-	e.WriteBool(hdr.ResponseExpected)
-	e.WriteOctets(hdr.ObjectKey)
-	e.WriteString(hdr.Operation)
-	e.WriteOctets(hdr.Principal)
-	if writeArgs != nil {
-		e.Rebase() // arguments form their own alignment origin
-		writeArgs(e)
-	}
-	return finishMessage(e, order, MsgRequest)
+	return copyOut(EncodeRequestPooled(order, hdr, writeArgs))
 }
 
 // EncodeRequestPooled is EncodeRequest without the final copy: the complete
 // message stays in the pooled encoder's buffer and the encoder itself is
 // returned (its Bytes are the wire frame). The caller must hand it to a
-// writer that Releases it once the bytes are on the wire; see
-// finishMessagePooled for the ownership rule.
+// writer that Releases it once the bytes are on the wire; see finishMessage
+// for the ownership rule.
 func EncodeRequestPooled(order cdr.ByteOrder, hdr RequestHeader, writeArgs func(*cdr.Encoder)) *cdr.Encoder {
 	e := beginMessage(order)
 	encodeServiceContexts(e, hdr.ServiceContexts)
@@ -158,7 +147,7 @@ func EncodeRequestPooled(order cdr.ByteOrder, hdr RequestHeader, writeArgs func(
 		e.Rebase() // arguments form their own alignment origin
 		writeArgs(e)
 	}
-	return finishMessagePooled(e, order, MsgRequest)
+	return finishMessage(e, order, MsgRequest)
 }
 
 // DecodeRequest parses a Request body (as returned by ReadMessage or
@@ -242,24 +231,17 @@ type ReplyHeader struct {
 	Status          ReplyStatus
 }
 
-// EncodeReply renders a complete GIOP Reply message. writeBody, if non-nil,
-// encodes the status-specific body (result values, exception, or forwarded
-// IOR); it forms its own CDR alignment origin, mirroring EncodeRequest.
+// EncodeReply renders a complete GIOP Reply message into a buffer the caller
+// owns. writeBody, if non-nil, encodes the status-specific body (result
+// values, exception, or forwarded IOR); it forms its own CDR alignment
+// origin, mirroring EncodeRequest.
 func EncodeReply(order cdr.ByteOrder, hdr ReplyHeader, writeBody func(*cdr.Encoder)) []byte {
-	e := beginMessage(order)
-	encodeServiceContexts(e, hdr.ServiceContexts)
-	e.WriteULong(hdr.RequestID)
-	e.WriteULong(uint32(hdr.Status))
-	if writeBody != nil {
-		e.Rebase() // the status-specific body forms its own alignment origin
-		writeBody(e)
-	}
-	return finishMessage(e, order, MsgReply)
+	return copyOut(EncodeReplyPooled(order, hdr, writeBody))
 }
 
 // EncodeReplyPooled is EncodeReply without the final copy, returning the
 // pooled encoder whose Bytes are the complete wire frame. Ownership follows
-// finishMessagePooled: the connection writer Releases the encoder after the
+// finishMessage: the connection writer Releases the encoder after the
 // vectored write returns.
 func EncodeReplyPooled(order cdr.ByteOrder, hdr ReplyHeader, writeBody func(*cdr.Encoder)) *cdr.Encoder {
 	e := beginMessage(order)
@@ -270,7 +252,7 @@ func EncodeReplyPooled(order cdr.ByteOrder, hdr ReplyHeader, writeBody func(*cdr
 		e.Rebase() // the status-specific body forms its own alignment origin
 		writeBody(e)
 	}
-	return finishMessagePooled(e, order, MsgReply)
+	return finishMessage(e, order, MsgReply)
 }
 
 // DecodeReply parses a Reply body, yielding the header and a decoder

@@ -67,39 +67,18 @@ func WithClientMaxBodyBytes(n int) ClientOption {
 }
 
 // WithConnectionPool switches every ObjectRef of this ORB onto a shared
-// multiplexed transport: one connection per IIOP host:port, with concurrent
-// in-flight requests demultiplexed by request id. Invocations on one
-// ObjectRef are then no longer serialized against each other.
+// multiplexed transport: exactly one connection per IIOP host:port, with
+// concurrent in-flight requests demultiplexed by request id. Invocations on
+// one ObjectRef are then no longer serialized against each other, and a
+// burst of concurrent requests leaves in one vectored write; every frame on
+// the wire remains a standalone standard GIOP message.
 //
 // The pooled transport is incompatible with client-side interceptor schemes
 // that assume a single in-flight request per connection (NEEDS_ADDRESSING's
 // fabricated replies, the MEAD piggyback swap); callers wire it up only for
 // schemes without that assumption.
 func WithConnectionPool() ClientOption {
-	return clientOptionFunc(func(c *ClientORB) { c.poolWanted = true })
-}
-
-// WithPoolStripes widens the shared pool to n multiplexed connections per
-// IIOP host:port (implies WithConnectionPool; n < 1 means 1, the default).
-// Each stripe has its own reader goroutine and vectored-write flush chain;
-// requests are placed by power-of-two-choices on the per-stripe in-flight
-// count, so concurrent callers spread across stripes and throughput scales
-// with GOMAXPROCS instead of serializing behind one demultiplexer.
-func WithPoolStripes(n int) ClientOption {
-	return clientOptionFunc(func(c *ClientORB) {
-		c.poolWanted = true
-		c.poolStripes = n
-	})
-}
-
-// WithRequestBatching lets the pooled transport coalesce a burst of
-// concurrent requests into single giop.MsgBatch frames (one wire frame, one
-// server-side header parse for the whole burst). Batch frames are a vendor
-// extension of this implementation: enable it only against servers built
-// from this codebase — replies are never batched, so the option changes the
-// client→server direction only. See docs/PROTOCOL.md §10.
-func WithRequestBatching() ClientOption {
-	return clientOptionFunc(func(c *ClientORB) { c.batching = true })
+	return clientOptionFunc(func(c *ClientORB) { c.pool = newConnPool(c) })
 }
 
 // ClientORB is the client-side ORB.
@@ -110,9 +89,6 @@ type ClientORB struct {
 	dialTimeout time.Duration
 	maxForwards int
 	maxBody     int
-	poolWanted  bool
-	poolStripes int
-	batching    bool
 	pool        *connPool            // nil unless WithConnectionPool
 	tel         *telemetry.Telemetry // nil-safe; see WithTelemetry
 }
@@ -127,11 +103,6 @@ func NewClient(opts ...ClientOption) *ClientORB {
 	}
 	for _, o := range opts {
 		o.applyClient(c)
-	}
-	// The pool is built after all options applied so stripe count and
-	// batching take effect regardless of option order.
-	if c.poolWanted {
-		c.pool = newConnPool(c)
 	}
 	return c
 }
@@ -286,83 +257,23 @@ func (o *ObjectRef) Invoke(op string, writeArgs func(*cdr.Encoder), readResult f
 		}
 		o.orb.tel.RequestSent(o.addr)
 
-		// The reply header, status body, and the decoder d all borrow mb;
-		// every exit from the switch below releases both before returning
-		// (or before retransmitting). DecodeReply releases the decoder
-		// itself on failure.
-		var (
-			rh giop.ReplyHeader
-			d  *cdr.Decoder
-			mb *giop.MsgBuf
-		)
-		for skips := 0; ; skips++ {
-			hdr, b, err := o.readReplyLocked(reqID)
-			if err != nil {
-				o.dropConnLocked()
-				return err
-			}
-			h, dec, err := giop.DecodeReply(hdr.Order, b.Bytes())
-			if err != nil {
-				b.Release()
-				o.dropConnLocked()
-				return fmt.Errorf("orb: corrupt reply: %w", err)
-			}
-			if h.RequestID != reqID {
-				// A stale request id: the late reply to a request this
-				// reference already retransmitted, or a wire-duplicated
-				// frame. GIOP replies carry the id precisely so mismatched
-				// ones can be discarded; bound the skips so a desynced
-				// stream still surfaces an error.
-				dec.Release()
-				b.Release()
-				o.orb.tel.StaleReply()
-				if skips >= maxStaleReplies {
-					o.dropConnLocked()
-					return &giop.SystemException{RepoID: giop.RepoInternal, Minor: 20, Completed: giop.CompletedMaybe}
-				}
-				continue
-			}
-			rh, d, mb = h, dec, b
-			break
+		// The reply header and the decoder d borrow mb; settleReply below
+		// takes both over and releases them.
+		rh, d, mb, err := o.readReplyLocked(reqID)
+		if err != nil {
+			o.dropConnLocked()
+			return err
 		}
 		o.orb.tel.ReplyReceived(time.Since(sentAt))
 
-		switch rh.Status {
-		case giop.ReplyNoException:
-			var rerr error
-			if readResult != nil {
-				rerr = readResult(d)
-			}
-			d.Release()
-			mb.Release()
-			if rerr != nil {
-				return fmt.Errorf("orb: decode result of %q: %w", op, rerr)
-			}
-			return nil
-		case giop.ReplyUserException:
-			repo, rerr := d.ReadString()
-			d.Release()
-			mb.Release()
-			if rerr != nil {
-				return fmt.Errorf("orb: corrupt user exception: %w", rerr)
-			}
-			return &UserException{RepoID: repo}
-		case giop.ReplySystemException:
-			se, rerr := giop.DecodeSystemException(d)
-			d.Release()
-			mb.Release()
-			if rerr != nil {
-				return fmt.Errorf("orb: corrupt system exception: %w", rerr)
-			}
-			return se
-		case giop.ReplyLocationForward, giop.ReplyLocationForwardPerm:
-			fwd, rerr := giop.DecodeIOR(d)
-			d.Release()
-			mb.Release()
-			if rerr != nil {
-				o.dropConnLocked()
-				return fmt.Errorf("orb: corrupt LOCATION_FORWARD body: %w", rerr)
-			}
+		action, fwd, err := settleReply(rh.Status, op, d, mb, readResult)
+		switch action {
+		case replyDone:
+			return err
+		case replyBroken:
+			o.dropConnLocked()
+			return err
+		case replyForward:
 			// "The client ORB, on receiving this message, transparently
 			// retransmits the client request to the new replica without
 			// notifying the client application."
@@ -373,25 +284,68 @@ func (o *ObjectRef) Invoke(op string, writeArgs func(*cdr.Encoder), readResult f
 				a, _ := fwd.Addr()
 				tel.ForwardTaken(a)
 			}
-			continue
-		case giop.ReplyNeedsAddressingMode:
+		case replyRetransmit:
 			// "...causes the client-side ORB to retransmit its last request
 			// over the new connection." The interceptor has already swapped
 			// the underlying transport; we simply resend.
-			d.Release()
-			mb.Release()
 			o.stats.Retransmissions++
 			o.orb.tel.Retransmitted(o.addr)
-			continue
-		default:
-			d.Release()
-			mb.Release()
-			o.dropConnLocked()
-			return &giop.SystemException{RepoID: giop.RepoInternal, Minor: 21, Completed: giop.CompletedMaybe}
 		}
 	}
 	o.dropConnLocked()
 	return giop.CommFailure(11, giop.CompletedMaybe)
+}
+
+// replyAction is what an invocation does next after one decoded Reply.
+type replyAction uint8
+
+const (
+	replyDone       replyAction = iota // over: the error (nil on success) goes to the application
+	replyForward                       // LOCATION_FORWARD: rebind to the returned IOR and retransmit
+	replyRetransmit                    // NEEDS_ADDRESSING_MODE: resend the same request
+	replyBroken                        // the stream cannot be trusted any further; the error says why
+)
+
+// settleReply consumes the status-specific body of one Reply and decides the
+// invocation's next step; both client transports call it. It owns d and mb
+// (d borrows mb) and releases each exactly once on every path, before
+// returning. What a forward or a broken stream means for the connection is
+// the calling transport's business.
+func settleReply(status giop.ReplyStatus, op string, d *cdr.Decoder, mb *giop.MsgBuf,
+	readResult func(*cdr.Decoder) error) (replyAction, giop.IOR, error) {
+	defer mb.Release()
+	defer d.Release()
+	switch status {
+	case giop.ReplyNoException:
+		if readResult != nil {
+			if err := readResult(d); err != nil {
+				return replyDone, giop.IOR{}, fmt.Errorf("orb: decode result of %q: %w", op, err)
+			}
+		}
+		return replyDone, giop.IOR{}, nil
+	case giop.ReplyUserException:
+		repo, err := d.ReadString()
+		if err != nil {
+			return replyDone, giop.IOR{}, fmt.Errorf("orb: corrupt user exception: %w", err)
+		}
+		return replyDone, giop.IOR{}, &UserException{RepoID: repo}
+	case giop.ReplySystemException:
+		se, err := giop.DecodeSystemException(d)
+		if err != nil {
+			return replyDone, giop.IOR{}, fmt.Errorf("orb: corrupt system exception: %w", err)
+		}
+		return replyDone, giop.IOR{}, se
+	case giop.ReplyLocationForward, giop.ReplyLocationForwardPerm:
+		fwd, err := giop.DecodeIOR(d)
+		if err != nil {
+			return replyBroken, giop.IOR{}, fmt.Errorf("orb: corrupt LOCATION_FORWARD body: %w", err)
+		}
+		return replyForward, fwd, nil
+	case giop.ReplyNeedsAddressingMode:
+		return replyRetransmit, giop.IOR{}, nil
+	default:
+		return replyBroken, giop.IOR{}, &giop.SystemException{RepoID: giop.RepoInternal, Minor: 21, Completed: giop.CompletedMaybe}
+	}
 }
 
 // InvokeOneWay sends a request without expecting a reply (a CORBA oneway
@@ -456,51 +410,75 @@ func (o *ObjectRef) Locate() (giop.LocateStatus, error) {
 		o.dropConnLocked()
 		return 0, giop.CommFailure(16, giop.CompletedMaybe)
 	}
-	if h.Type != giop.MsgLocateReply {
-		mb.Release()
-		o.dropConnLocked()
-		return 0, &giop.SystemException{RepoID: giop.RepoInternal, Minor: 23, Completed: giop.CompletedMaybe}
-	}
-	hdr, fwd, err := giop.DecodeLocateReply(h.Order, mb.Bytes())
-	mb.Release() // hdr and fwd are fully copied out of the body
+	status, fwd, err := settleLocateReply(h, mb)
 	if err != nil {
 		o.dropConnLocked()
-		return 0, fmt.Errorf("orb: corrupt locate reply: %w", err)
+		return 0, err
 	}
-	if hdr.Status == giop.LocateObjectForward && fwd != nil {
+	if fwd != nil {
 		o.dropConnLocked()
 		o.ior = *fwd
 		o.stats.Forwards++
 	}
-	return hdr.Status, nil
+	return status, nil
+}
+
+// settleLocateReply decodes the answer to a LocateRequest for both client
+// transports, releasing mb: the status and the OBJECT_FORWARD IOR (nil for
+// every other status) are fully copied out of the body.
+func settleLocateReply(h giop.Header, mb *giop.MsgBuf) (giop.LocateStatus, *giop.IOR, error) {
+	defer mb.Release()
+	if h.Type != giop.MsgLocateReply {
+		return 0, nil, &giop.SystemException{RepoID: giop.RepoInternal, Minor: 23, Completed: giop.CompletedMaybe}
+	}
+	hdr, fwd, err := giop.DecodeLocateReply(h.Order, mb.Bytes())
+	if err != nil {
+		return 0, nil, fmt.Errorf("orb: corrupt locate reply: %w", err)
+	}
+	return hdr.Status, fwd, nil
 }
 
 // maxStaleReplies bounds how many mismatched-request-id replies one
 // invocation will discard before declaring the stream desynced.
 const maxStaleReplies = 32
 
-// readReplyLocked reads messages until the Reply for reqID arrives. Read
-// errors (EOF from a crashed server) surface as COMM_FAILURE, which takes
-// "about 1.8 ms to register at the client" in the paper's reactive runs.
-// The caller owns the returned pooled buffer.
-func (o *ObjectRef) readReplyLocked(reqID uint32) (giop.Header, *giop.MsgBuf, error) {
-	for {
+// readReplyLocked reads messages until the Reply for reqID arrives and
+// returns its header with a decoder positioned at the status-specific body;
+// the caller owns the decoder and the pooled buffer both borrow. Read errors
+// (EOF from a crashed server) surface as COMM_FAILURE, which takes "about
+// 1.8 ms to register at the client" in the paper's reactive runs. After any
+// error the stream is out of step and must be dropped.
+func (o *ObjectRef) readReplyLocked(reqID uint32) (giop.ReplyHeader, *cdr.Decoder, *giop.MsgBuf, error) {
+	for skips := 0; ; skips++ {
 		h, mb, err := giop.ReadMessagePooled(o.rd)
 		if err != nil {
-			return giop.Header{}, nil, giop.CommFailure(12, giop.CompletedMaybe)
+			return giop.ReplyHeader{}, nil, nil, giop.CommFailure(12, giop.CompletedMaybe)
 		}
-		switch h.Type {
-		case giop.MsgReply:
-			return h, mb, nil
-		case giop.MsgCloseConnection:
+		if h.Type != giop.MsgReply {
 			mb.Release()
-			return giop.Header{}, nil, giop.CommFailure(13, giop.CompletedNo)
-		default:
-			// LocateReply/MessageError are unexpected on this path.
-			mb.Release()
-			return giop.Header{}, nil, &giop.SystemException{
-				RepoID: giop.RepoInternal, Minor: 22, Completed: giop.CompletedMaybe,
+			if h.Type == giop.MsgCloseConnection {
+				return giop.ReplyHeader{}, nil, nil, giop.CommFailure(13, giop.CompletedNo)
 			}
+			// LocateReply/MessageError are unexpected on this path.
+			return giop.ReplyHeader{}, nil, nil, &giop.SystemException{RepoID: giop.RepoInternal, Minor: 22, Completed: giop.CompletedMaybe}
+		}
+		rh, d, err := giop.DecodeReply(h.Order, mb.Bytes()) // releases d itself on failure
+		if err != nil {
+			mb.Release()
+			return giop.ReplyHeader{}, nil, nil, fmt.Errorf("orb: corrupt reply: %w", err)
+		}
+		if rh.RequestID == reqID {
+			return rh, d, mb, nil
+		}
+		// A stale request id: the late reply to a request this reference
+		// already retransmitted, or a wire-duplicated frame. GIOP replies
+		// carry the id precisely so mismatched ones can be discarded; bound
+		// the skips so a desynced stream still surfaces an error.
+		d.Release()
+		mb.Release()
+		o.orb.tel.StaleReply()
+		if skips >= maxStaleReplies {
+			return giop.ReplyHeader{}, nil, nil, &giop.SystemException{RepoID: giop.RepoInternal, Minor: 20, Completed: giop.CompletedMaybe}
 		}
 	}
 }

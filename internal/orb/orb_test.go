@@ -2,6 +2,7 @@ package orb
 
 import (
 	"errors"
+	"io"
 	"net"
 	"strings"
 	"sync/atomic"
@@ -559,6 +560,47 @@ func TestServerSendsMessageErrorOnCorruptRequest(t *testing.T) {
 	}
 	if h.Type != giop.MsgMessageError {
 		t.Fatalf("reply type = %v, want MessageError", h.Type)
+	}
+}
+
+// TestServerRejectsUnknownMessageType sends frames whose type octet the
+// server does not serve — 8, which an earlier wire format of this repo used
+// for batch frames and old peers may still emit, and 0xFF — each wrapping a
+// well-formed Request. The request must not be dispatched; the server
+// answers MessageError and closes the connection.
+func TestServerRejectsUnknownMessageType(t *testing.T) {
+	for _, typ := range []giop.MsgType{8, 0xFF} {
+		t.Run(typ.String(), func(t *testing.T) {
+			s, _ := startServer(t)
+			conn, err := net.Dial("tcp", s.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			inner := giop.EncodeRequest(cdr.BigEndian, giop.RequestHeader{
+				RequestID: 1, ResponseExpected: true, ObjectKey: clockKey, Operation: "time_of_day",
+			}, nil)
+			if _, err := conn.Write(giop.EncodeMessage(cdr.BigEndian, typ, inner)); err != nil {
+				t.Fatal(err)
+			}
+			_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			h, _, err := giop.ReadMessage(conn)
+			if err != nil {
+				t.Fatalf("no MessageError received: %v", err)
+			}
+			if h.Type != giop.MsgMessageError {
+				t.Fatalf("reply type = %v, want MessageError", h.Type)
+			}
+			if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+				t.Fatalf("read after MessageError = %v, want EOF", err)
+			}
+			if served := s.Served(); served != 0 {
+				t.Fatalf("server dispatched %d requests out of the rejected frame", served)
+			}
+			if _, err := invokeTime(objectFor(t, s)); err != nil {
+				t.Fatalf("server unusable after the rejected frame: %v", err)
+			}
+		})
 	}
 }
 

@@ -4,10 +4,8 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"math/rand/v2"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mead/internal/cdr"
@@ -17,56 +15,35 @@ import (
 // ErrClientClosed reports use of a closed client ORB's connection pool.
 var ErrClientClosed = errors.New("orb: client closed")
 
-// connPool shares multiplexed connections between every ObjectRef of one
-// ClientORB, keyed by IIOP "host:port". GIOP permits any number of
-// outstanding requests per connection — replies carry the request id and may
-// arrive in any order — so one TCP connection per replica suffices for an
-// arbitrary number of concurrent invocations.
-//
-// The pool is striped: each address owns a fixed slice of `stripes`
-// connection slots (default 1, see WithPoolStripes). One connection means
-// one reader goroutine and one writer flush chain; striping multiplies
-// those so throughput scales with GOMAXPROCS instead of serializing every
-// caller behind a single demultiplexer.
+// connPool shares one multiplexed connection per IIOP "host:port" between
+// every ObjectRef of one ClientORB. GIOP permits any number of outstanding
+// requests per connection — replies carry the request id and may arrive in
+// any order — so one TCP connection per replica suffices for an arbitrary
+// number of concurrent invocations.
 type connPool struct {
-	orb     *ClientORB
-	stripes int
+	orb *ClientORB
 
 	mu     sync.Mutex
-	conns  map[string][]*muxConn
-	rr     uint64 // round-robin cursor for first-touch stripe placement
+	conns  map[string]*muxConn
 	closed bool
 }
 
 func newConnPool(orb *ClientORB) *connPool {
-	n := orb.poolStripes
-	if n < 1 {
-		n = 1
-	}
-	return &connPool{orb: orb, stripes: n, conns: make(map[string][]*muxConn)}
+	return &connPool{orb: orb, conns: make(map[string]*muxConn)}
 }
 
-// get returns a live multiplexed connection to addr, dialing one if needed.
-// Concurrent callers for the same stripe share a single dial.
+// get returns the live multiplexed connection to addr, dialing it if needed.
+// Concurrent callers for the same address share a single dial.
 func (p *connPool) get(addr string) (*muxConn, error) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
 		return nil, ErrClientClosed
 	}
-	ss := p.conns[addr]
-	if ss == nil {
-		ss = make([]*muxConn, p.stripes)
-		p.conns[addr] = ss
-	}
-	idx := 0
-	if p.stripes > 1 {
-		idx = p.placeLocked(ss)
-	}
-	mc := ss[idx]
+	mc := p.conns[addr]
 	if mc == nil {
-		mc = &muxConn{pool: p, addr: addr, slot: idx, pending: make(map[uint32]chan muxReply), nextID: 1}
-		ss[idx] = mc
+		mc = &muxConn{pool: p, addr: addr, pending: make(map[uint32]chan muxReply), nextID: 1}
+		p.conns[addr] = mc
 	}
 	p.mu.Unlock()
 
@@ -78,34 +55,11 @@ func (p *connPool) get(addr string) (*muxConn, error) {
 	return mc, nil
 }
 
-// placeLocked picks a stripe for the next request. Unclaimed slots are
-// filled round-robin first, so a concurrent burst deterministically brings
-// every stripe up; once all slots are live, placement is power-of-two-
-// choices on the per-stripe in-flight count, which keeps load within a
-// constant factor of balanced without any global coordination.
-func (p *connPool) placeLocked(ss []*muxConn) int {
-	start := int(p.rr % uint64(len(ss)))
-	p.rr++
-	for k := 0; k < len(ss); k++ {
-		if j := (start + k) % len(ss); ss[j] == nil {
-			return j
-		}
-	}
-	i := rand.IntN(len(ss))
-	j := rand.IntN(len(ss))
-	if ss[j].inflight.Load() < ss[i].inflight.Load() {
-		i = j
-	}
-	return i
-}
-
-// remove unregisters mc so the next get() landing on its stripe redials.
-// Only mc's own slot is cleared: the address's other stripes keep carrying
-// traffic, so one dead connection settles only its own in-flight requests.
+// remove unregisters mc (if still current) so the next get() redials.
 func (p *connPool) remove(mc *muxConn) {
 	p.mu.Lock()
-	if ss := p.conns[mc.addr]; mc.slot < len(ss) && ss[mc.slot] == mc {
-		ss[mc.slot] = nil
+	if p.conns[mc.addr] == mc {
+		delete(p.conns, mc.addr)
 	}
 	p.mu.Unlock()
 }
@@ -119,13 +73,9 @@ func (p *connPool) close() {
 		return
 	}
 	p.closed = true
-	var conns []*muxConn
-	for _, ss := range p.conns {
-		for _, mc := range ss {
-			if mc != nil {
-				conns = append(conns, mc)
-			}
-		}
+	conns := make([]*muxConn, 0, len(p.conns))
+	for _, mc := range p.conns {
+		conns = append(conns, mc)
 	}
 	p.mu.Unlock()
 	for _, mc := range conns {
@@ -138,15 +88,7 @@ func (p *connPool) close() {
 func (p *connPool) activeConns() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	n := 0
-	for _, ss := range p.conns {
-		for _, mc := range ss {
-			if mc != nil {
-				n++
-			}
-		}
-	}
-	return n
+	return len(p.conns)
 }
 
 // muxReply is one demultiplexed answer (Reply or LocateReply) delivered to
@@ -160,7 +102,7 @@ type muxReply struct {
 }
 
 // muxConn is one shared connection with a demultiplexing reader goroutine.
-// Writes are serialized by writeMu (each request's frames must stay
+// Writes are serialized by cw (each request's frames must stay
 // contiguous); reads happen only on the readLoop goroutine, which routes
 // each reply to the pending channel registered under its request id. This
 // split keeps the interceptor Conn's read-side and write-side state each on
@@ -168,16 +110,11 @@ type muxReply struct {
 type muxConn struct {
 	pool *connPool
 	addr string
-	slot int // stripe index within the pool's per-address slice
 
 	dialOnce sync.Once
 	dialErr  error
 	conn     net.Conn
-	cw       *connWriter // serializes and batches frame writes
-
-	// inflight counts requests awaiting replies on this stripe; the pool's
-	// power-of-two-choices placement reads it lock-free.
-	inflight atomic.Int64
+	cw       *connWriter // serializes and coalesces frame writes
 
 	mu      sync.Mutex
 	nextID  uint32
@@ -200,7 +137,7 @@ func (m *muxConn) dial() {
 		conn = m.pool.orb.wrap(conn)
 	}
 	m.conn = conn
-	m.cw = newConnWriter(conn, m.pool.orb.order, m.pool.orb.batching)
+	m.cw = &connWriter{conn: conn}
 	m.pool.orb.tel.ConnOpened(m.addr)
 	go m.readLoop()
 }
@@ -222,13 +159,11 @@ func (m *muxConn) roundTrip(build func(reqID uint32) *cdr.Encoder) (giop.Header,
 	m.pending[id] = ch
 	m.mu.Unlock()
 
-	m.inflight.Add(1)
 	if err := m.cw.writeEncoder(build(id), m.pool.orb.maxBody); err != nil {
 		// fail() settles every pending request, including ours.
 		m.fail(giop.CommFailure(10, giop.CompletedMaybe))
 	}
 	r := <-ch
-	m.inflight.Add(-1)
 	return r.hdr, r.mb, r.err
 }
 
@@ -315,6 +250,25 @@ func (m *muxConn) deliver(id uint32, r muxReply) {
 	r.mb.Release()
 }
 
+// pooledTarget resolves ior to the object key to address and the shared
+// connection to its endpoint. A reference without a usable endpoint maps to
+// TRANSIENT, as on the private-connection path.
+func (o *ObjectRef) pooledTarget(ior giop.IOR) (*muxConn, []byte, error) {
+	addr, err := ior.Addr()
+	if err != nil {
+		return nil, nil, giop.Transient(1, giop.CompletedNo)
+	}
+	prof, err := ior.IIOP()
+	if err != nil {
+		return nil, nil, fmt.Errorf("orb: reference has no IIOP profile: %w", err)
+	}
+	mc, err := o.orb.pool.get(addr)
+	if err != nil {
+		return nil, nil, err
+	}
+	return mc, prof.ObjectKey, nil
+}
+
 // invokePooled is Invoke over the shared multiplexed transport. It holds no
 // lock across the network round trip, so any number of goroutines may invoke
 // through the same ObjectRef concurrently. The LOCATION_FORWARD /
@@ -328,25 +282,17 @@ func (o *ObjectRef) invokePooled(op string, writeArgs func(*cdr.Encoder), readRe
 	o.mu.Unlock()
 
 	for attempt := 0; attempt <= o.orb.maxForwards; attempt++ {
-		addr, err := ior.Addr()
-		if err != nil {
-			return giop.Transient(1, giop.CompletedNo)
-		}
-		prof, err := ior.IIOP()
-		if err != nil {
-			return fmt.Errorf("orb: reference has no IIOP profile: %w", err)
-		}
-		mc, err := o.orb.pool.get(addr)
+		mc, key, err := o.pooledTarget(ior)
 		if err != nil {
 			return err
 		}
 		sentAt := time.Now()
-		o.orb.tel.RequestSent(addr)
+		o.orb.tel.RequestSent(mc.addr)
 		hdr, mb, err := mc.roundTrip(func(reqID uint32) *cdr.Encoder {
 			return giop.EncodeRequestPooled(o.orb.order, giop.RequestHeader{
 				RequestID:        reqID,
 				ResponseExpected: true,
-				ObjectKey:        prof.ObjectKey,
+				ObjectKey:        key,
 				Operation:        op,
 			}, writeArgs)
 		})
@@ -354,8 +300,8 @@ func (o *ObjectRef) invokePooled(op string, writeArgs func(*cdr.Encoder), readRe
 			return err
 		}
 		o.orb.tel.ReplyReceived(time.Since(sentAt))
-		// roundTrip handed us ownership of mb; rh and d borrow it, so every
-		// exit below releases both before returning (or retransmitting).
+		// roundTrip handed us ownership of mb; rh and d borrow it, and
+		// settleReply takes both over.
 		if hdr.Type != giop.MsgReply {
 			mb.Release()
 			return &giop.SystemException{RepoID: giop.RepoInternal, Minor: 22, Completed: giop.CompletedMaybe}
@@ -366,41 +312,13 @@ func (o *ObjectRef) invokePooled(op string, writeArgs func(*cdr.Encoder), readRe
 			return fmt.Errorf("orb: corrupt reply: %w", err)
 		}
 
-		switch rh.Status {
-		case giop.ReplyNoException:
-			var rerr error
-			if readResult != nil {
-				rerr = readResult(d)
-			}
-			d.Release()
-			mb.Release()
-			if rerr != nil {
-				return fmt.Errorf("orb: decode result of %q: %w", op, rerr)
-			}
-			return nil
-		case giop.ReplyUserException:
-			repo, rerr := d.ReadString()
-			d.Release()
-			mb.Release()
-			if rerr != nil {
-				return fmt.Errorf("orb: corrupt user exception: %w", rerr)
-			}
-			return &UserException{RepoID: repo}
-		case giop.ReplySystemException:
-			se, rerr := giop.DecodeSystemException(d)
-			d.Release()
-			mb.Release()
-			if rerr != nil {
-				return fmt.Errorf("orb: corrupt system exception: %w", rerr)
-			}
-			return se
-		case giop.ReplyLocationForward, giop.ReplyLocationForwardPerm:
-			fwd, rerr := giop.DecodeIOR(d)
-			d.Release()
-			mb.Release()
-			if rerr != nil {
-				return fmt.Errorf("orb: corrupt LOCATION_FORWARD body: %w", rerr)
-			}
+		action, fwd, err := settleReply(rh.Status, op, d, mb, readResult)
+		switch action {
+		case replyDone, replyBroken:
+			// A broken reply condemns only this invocation: the demultiplexer
+			// framed it correctly, so the shared stream is still in step.
+			return err
+		case replyForward:
 			ior = fwd
 			o.mu.Lock()
 			o.ior = fwd
@@ -410,19 +328,11 @@ func (o *ObjectRef) invokePooled(op string, writeArgs func(*cdr.Encoder), readRe
 				a, _ := fwd.Addr()
 				tel.ForwardTaken(a)
 			}
-			continue
-		case giop.ReplyNeedsAddressingMode:
-			d.Release()
-			mb.Release()
+		case replyRetransmit:
 			o.mu.Lock()
 			o.stats.Retransmissions++
 			o.mu.Unlock()
-			o.orb.tel.Retransmitted(addr)
-			continue
-		default:
-			d.Release()
-			mb.Release()
-			return &giop.SystemException{RepoID: giop.RepoInternal, Minor: 21, Completed: giop.CompletedMaybe}
+			o.orb.tel.Retransmitted(mc.addr)
 		}
 	}
 	return giop.CommFailure(11, giop.CompletedMaybe)
@@ -435,15 +345,7 @@ func (o *ObjectRef) oneWayPooled(op string, writeArgs func(*cdr.Encoder)) error 
 	ior := o.ior
 	o.mu.Unlock()
 
-	addr, err := ior.Addr()
-	if err != nil {
-		return giop.Transient(1, giop.CompletedNo)
-	}
-	prof, err := ior.IIOP()
-	if err != nil {
-		return fmt.Errorf("orb: reference has no IIOP profile: %w", err)
-	}
-	mc, err := o.orb.pool.get(addr)
+	mc, key, err := o.pooledTarget(ior)
 	if err != nil {
 		return err
 	}
@@ -451,7 +353,7 @@ func (o *ObjectRef) oneWayPooled(op string, writeArgs func(*cdr.Encoder)) error 
 		return giop.EncodeRequestPooled(o.orb.order, giop.RequestHeader{
 			RequestID:        reqID,
 			ResponseExpected: false,
-			ObjectKey:        prof.ObjectKey,
+			ObjectKey:        key,
 			Operation:        op,
 		}, writeArgs)
 	})
@@ -464,43 +366,30 @@ func (o *ObjectRef) locatePooled() (giop.LocateStatus, error) {
 	ior := o.ior
 	o.mu.Unlock()
 
-	addr, err := ior.Addr()
-	if err != nil {
-		return 0, giop.Transient(1, giop.CompletedNo)
-	}
-	prof, err := ior.IIOP()
-	if err != nil {
-		return 0, fmt.Errorf("orb: reference has no IIOP profile: %w", err)
-	}
-	mc, err := o.orb.pool.get(addr)
+	mc, key, err := o.pooledTarget(ior)
 	if err != nil {
 		return 0, err
 	}
 	hdr, mb, err := mc.roundTrip(func(reqID uint32) *cdr.Encoder {
 		return giop.EncodeLocateRequestPooled(o.orb.order, giop.LocateRequestHeader{
 			RequestID: reqID,
-			ObjectKey: prof.ObjectKey,
+			ObjectKey: key,
 		})
 	})
 	if err != nil {
 		return 0, giop.CommFailure(16, giop.CompletedMaybe)
 	}
-	if hdr.Type != giop.MsgLocateReply {
-		mb.Release()
-		return 0, &giop.SystemException{RepoID: giop.RepoInternal, Minor: 23, Completed: giop.CompletedMaybe}
-	}
-	lh, fwd, err := giop.DecodeLocateReply(hdr.Order, mb.Bytes())
-	mb.Release() // lh and fwd are fully copied out of the body
+	status, fwd, err := settleLocateReply(hdr, mb)
 	if err != nil {
-		return 0, fmt.Errorf("orb: corrupt locate reply: %w", err)
+		return 0, err
 	}
-	if lh.Status == giop.LocateObjectForward && fwd != nil {
+	if fwd != nil {
 		o.mu.Lock()
 		o.ior = *fwd
 		o.stats.Forwards++
 		o.mu.Unlock()
 	}
-	return lh.Status, nil
+	return status, nil
 }
 
 // fail terminates the connection once: it closes the transport, unregisters

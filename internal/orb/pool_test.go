@@ -11,6 +11,7 @@ import (
 
 	"mead/internal/cdr"
 	"mead/internal/giop"
+	"mead/internal/netfault"
 )
 
 func pooledObjectFor(t *testing.T, s *ServerORB) (*ClientORB, *ObjectRef) {
@@ -22,6 +23,19 @@ func pooledObjectFor(t *testing.T, s *ServerORB) (*ClientORB, *ObjectRef) {
 	c := NewClient(WithConnectionPool())
 	t.Cleanup(func() { _ = c.Close() })
 	return c, c.Object(ior)
+}
+
+// invokeEcho round-trips s through the servant's echo operation.
+func invokeEcho(o *ObjectRef, s string) (string, error) {
+	var got string
+	err := o.Invoke("echo", func(e *cdr.Encoder) {
+		e.WriteString(s)
+	}, func(d *cdr.Decoder) error {
+		v, err := d.ReadString()
+		got = v
+		return err
+	})
+	return got, err
 }
 
 // reverseStub accepts one connection, collects n echo requests, and answers
@@ -96,14 +110,7 @@ func TestPooledOutOfOrderReplies(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			want := fmt.Sprintf("caller-%d", i)
-			var got string
-			err := o.Invoke("echo", func(e *cdr.Encoder) {
-				e.WriteString(want)
-			}, func(d *cdr.Decoder) error {
-				v, err := d.ReadString()
-				got = v
-				return err
-			})
+			got, err := invokeEcho(o, want)
 			if err != nil {
 				errs[i] = err
 				return
@@ -341,5 +348,82 @@ func TestPooledClientClosed(t *testing.T) {
 	_ = c.Close()
 	if _, err := invokeTime(o); !errors.Is(err, ErrClientClosed) {
 		t.Fatalf("err = %v, want ErrClientClosed", err)
+	}
+}
+
+// TestPooledCutChaos cuts the shared connection mid-burst (and wire-
+// duplicates one reply earlier, exercising the demultiplexer's stale-reply
+// drop). Callers in flight at the cut settle with COMM_FAILURE, everyone
+// else keeps getting byte-correct echoes, and the pool redials on demand.
+// Run under -race.
+func TestPooledCutChaos(t *testing.T) {
+	const callers = 64
+	const perCaller = 5
+
+	s, _ := startServer(t)
+	addr := s.Addr()
+	inj, err := netfault.NewInjector(7, netfault.Plan{
+		{Kind: netfault.DuplicateReply, At: 20, Addr: addr},
+		{Kind: netfault.CutAfterRequest, At: 150, Addr: addr},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ior, err := giop.NewIORForAddr(typeID, addr, clockKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewClient(WithConnectionPool(), WithDialer(inj.DialTimeout))
+	defer c.Close()
+	o := c.Object(ior)
+
+	var wg sync.WaitGroup
+	var failures, successes atomic.Int64
+	errCh := make(chan error, callers*perCaller)
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for k := 0; k < perCaller; k++ {
+				want := fmt.Sprintf("chaos-%d-%d", i, k)
+				got, err := invokeEcho(o, want)
+				switch {
+				case err == nil && got == want:
+					successes.Add(1)
+				case err == nil:
+					errCh <- fmt.Errorf("caller %d call %d: cross-wired reply %q != %q", i, k, got, want)
+				default:
+					var se *giop.SystemException
+					if !errors.As(err, &se) || se.RepoID != giop.RepoCommFailure {
+						errCh <- fmt.Errorf("caller %d call %d: %v (want COMM_FAILURE)", i, k, err)
+					}
+					failures.Add(1)
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(errCh)
+	for err := range errCh {
+		t.Error(err)
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+	if inj.FiredTotal("cut-after-request") == 0 {
+		t.Fatal("chaos plan never fired the cut")
+	}
+	if inj.FiredTotal("duplicate-reply") == 0 {
+		t.Fatal("chaos plan never duplicated a reply")
+	}
+	f := failures.Load()
+	if f == 0 || f > callers {
+		t.Fatalf("%d invocations failed; want between 1 and the %d that can be in flight at one cut", f, callers)
+	}
+	if got, want := successes.Load()+f, int64(callers*perCaller); got != want {
+		t.Fatalf("accounted invocations = %d, want %d", got, want)
+	}
+	if got := c.PooledConnections(); got != 1 {
+		t.Fatalf("pooled connections after recovery = %d, want 1", got)
 	}
 }

@@ -107,15 +107,6 @@ func WithServerTelemetry(t *telemetry.Telemetry) ServerOption {
 	return serverOptionFunc(func(s *ServerORB) { s.tel = t })
 }
 
-// WithServerAcceptLoops runs n concurrent accept goroutines on the
-// listener (n < 1 means 1, the default). A single accept loop serializes
-// connection admission; under striped client pools a reconnection storm
-// (every client redialing N stripes after a recovery event) makes that
-// serialization visible, so the replica plumbing shards accepts per core.
-func WithServerAcceptLoops(n int) ServerOption {
-	return serverOptionFunc(func(s *ServerORB) { s.acceptLoops = n })
-}
-
 // WithConnClosedHook registers a callback invoked (with the remaining
 // active-connection count) whenever a client connection closes. The
 // proactive fault-tolerance manager uses it to detect quiescence before
@@ -131,7 +122,6 @@ type ServerORB struct {
 	wireWrap     ConnWrapper
 	onConnClosed func(active int)
 	maxBody      int
-	acceptLoops  int
 	served       atomic.Uint64
 	tel          *telemetry.Telemetry // nil-safe; see WithServerTelemetry
 
@@ -198,17 +188,11 @@ func (s *ServerORB) Start() error {
 	if s.ln == nil {
 		return errors.New("orb: Start before Listen")
 	}
-	n := s.acceptLoops
-	if n < 1 {
-		n = 1
-	}
-	for i := 0; i < n; i++ {
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.acceptLoop()
-		}()
-	}
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		s.acceptLoop()
+	}()
 	return nil
 }
 
@@ -312,7 +296,7 @@ func (s *ServerORB) serveConn(conn net.Conn) {
 	// goroutine owns each request's buffer (the decoded header and argument
 	// stream borrow it) and releases it after the reply is written.
 	rd := bufio.NewReaderSize(conn, connReadBufSize)
-	cw := newConnWriter(conn, s.order, false)
+	cw := &connWriter{conn: conn}
 	for {
 		h, mb, err := giop.ReadMessagePooled(rd)
 		if err != nil {
@@ -333,38 +317,6 @@ func (s *ServerORB) serveConn(conn net.Conn) {
 				defer s.wg.Done()
 				s.dispatchRequest(conn, cw, hdr, args, mb)
 			}()
-		case giop.MsgBatch:
-			// A client-side burst coalesced into one frame: decode each
-			// sub-request and dispatch it exactly as if it had arrived
-			// alone. Every dispatch retains mb (all sub-bodies alias it);
-			// the reader's own reference drops after the walk.
-			err := giop.ForEachInBatch(mb.Bytes(), func(sh giop.Header, sbody []byte) error {
-				switch sh.Type {
-				case giop.MsgRequest:
-					hdr, args, err := giop.DecodeRequest(sh.Order, sbody)
-					if err != nil {
-						return err
-					}
-					mb.Retain()
-					s.wg.Add(1)
-					go func() {
-						defer s.wg.Done()
-						s.dispatchRequest(conn, cw, hdr, args, mb)
-					}()
-					return nil
-				case giop.MsgLocateRequest:
-					return s.handleLocate(cw, sh, sbody)
-				case giop.MsgCancelRequest:
-					return nil
-				default:
-					return fmt.Errorf("orb: %v message inside batch frame", sh.Type)
-				}
-			})
-			mb.Release()
-			if err != nil {
-				_ = cw.writeMessage(giop.EncodeMessage(s.order, giop.MsgMessageError, nil), 0)
-				return
-			}
 		case giop.MsgCloseConnection:
 			mb.Release()
 			return
@@ -379,6 +331,8 @@ func (s *ServerORB) serveConn(conn net.Conn) {
 			// (if any) for the cancelled request is simply still delivered.
 			mb.Release()
 		default:
+			// Reply-direction types and anything outside GIOP 1.1's numbering
+			// are a protocol error on a server connection.
 			mb.Release()
 			_ = cw.writeMessage(giop.EncodeMessage(s.order, giop.MsgMessageError, nil), 0)
 			return
@@ -409,7 +363,7 @@ func (s *ServerORB) handleLocate(cw *connWriter, h giop.Header, body []byte) err
 }
 
 // dispatchRequest invokes the servant for one decoded Request and writes its
-// reply (through the connection's batching writer). It runs on a per-request
+// reply (through the connection's coalescing writer). It runs on a per-request
 // goroutine and owns mb, the pooled buffer backing hdr and args; both die
 // when it returns. A write failure tears the connection down, which unblocks
 // the reader.

@@ -10,41 +10,27 @@ import (
 	"mead/internal/giop"
 )
 
-// connWriter serializes and batches concurrent message writes on one
-// connection. Each writer announces itself (pending) before taking the
+// connWriter serializes concurrent message writes on one connection and
+// coalesces them. Each writer announces itself (pending) before taking the
 // lock; after queueing its frame segments, the last writer out flushes the
 // whole queue as ONE vectored write (net.Buffers → writev on TCP), so a
 // burst of concurrent frames leaves in a single syscall without ever being
-// copied into an intermediate coalescing buffer.
+// copied into an intermediate coalescing buffer. Every frame on the wire is
+// still a standalone standard GIOP message.
 //
 // Frames queue as segments that alias the pooled CDR encoders that built
 // them (writeEncoder): the writer owns each encoder from enqueue until its
 // bytes are on the wire, then Releases it — this is what lets the encode
-// path skip finishMessage's exact-size copy. Ownership rules are documented
-// in docs/PROTOCOL.md §10.
-//
-// With batching enabled (client pools that opted in via
-// WithRequestBatching), a flush of more than one whole unfragmented message
-// is additionally wrapped in a single GIOP batch frame (giop.MsgBatch), so
-// the receiving server pays one header read and one frame parse for the
-// whole burst.
+// path skip the exact-size copy-out. Ownership rules are documented in
+// docs/PROTOCOL.md §10.
 type connWriter struct {
 	conn    net.Conn
-	batch   bool          // wrap multi-frame flushes in one batch frame
-	order   cdr.ByteOrder // byte order of fabricated batch-frame headers
 	pending atomic.Int64
-	batches atomic.Uint64 // batch frames emitted (test/diagnostic hook)
 
-	mu       sync.Mutex
-	err      error                // sticky transport error; fails later writers fast
-	bufs     net.Buffers          // queued wire segments, flushed last-writer-out
-	owned    []*cdr.Encoder       // pooled encoders backing queued segments
-	canBatch bool                 // every queued segment is one whole unfragmented message
-	hdr      [giop.HeaderLen]byte // reusable batch-frame header storage
-}
-
-func newConnWriter(conn net.Conn, order cdr.ByteOrder, batch bool) *connWriter {
-	return &connWriter{conn: conn, order: order, batch: batch, canBatch: true}
+	mu    sync.Mutex
+	err   error          // sticky transport error; fails later writers fast
+	bufs  net.Buffers    // queued wire segments, flushed last-writer-out
+	owned []*cdr.Encoder // pooled encoders backing queued segments
 }
 
 // writeMessage queues one pre-rendered message (fragmenting per maxBody)
@@ -55,9 +41,9 @@ func (w *connWriter) writeMessage(msg []byte, maxBody int) error {
 		if err != nil {
 			return err
 		}
-		return w.enqueueFragments(frames)
+		return w.enqueue(nil, frames...)
 	}
-	return w.enqueue(msg, nil, true)
+	return w.enqueue(nil, msg)
 }
 
 // writeEncoder queues the complete message held in a pooled encoder (as
@@ -75,52 +61,31 @@ func (w *connWriter) writeEncoder(e *cdr.Encoder, maxBody int) error {
 		if err != nil {
 			return err
 		}
-		return w.enqueueFragments(frames)
+		return w.enqueue(nil, frames...)
 	}
-	return w.enqueue(msg, e, true)
+	return w.enqueue(e, msg)
 }
 
-// enqueue adds one wire segment (with the encoder backing it, if pooled)
-// and runs the last-writer-out flush protocol. The Gosched between
-// enqueueing and the flush decision lets every already-runnable caller
-// queue its frame first; under a burst the whole batch then leaves in a
-// single vectored write, which matters most when GOMAXPROCS is small and
-// writers would otherwise run (and flush) strictly one after another.
-func (w *connWriter) enqueue(seg []byte, owned *cdr.Encoder, batchable bool) error {
+// enqueue adds the wire segments of one message (with the encoder backing
+// them, if pooled) and runs the last-writer-out flush protocol. The Gosched
+// between enqueueing and the flush decision lets every already-runnable
+// caller queue its frame first; under a burst the whole queue then leaves
+// in a single vectored write, which matters most when GOMAXPROCS is small
+// and writers would otherwise run (and flush) strictly one after another.
+func (w *connWriter) enqueue(owned *cdr.Encoder, segs ...[]byte) error {
 	w.pending.Add(1)
 	w.mu.Lock()
 	err := w.err
 	if err == nil {
-		w.bufs = append(w.bufs, seg)
+		w.bufs = append(w.bufs, segs...)
 		if owned != nil {
 			w.owned = append(w.owned, owned)
-		}
-		if !batchable {
-			w.canBatch = false
 		}
 	} else if owned != nil {
 		owned.Release()
 	}
 	w.mu.Unlock()
-	return w.finishWrite(err)
-}
 
-// enqueueFragments queues the frames of one fragmented message. Fragmented
-// messages are never batch-framed (batch sub-frames must be whole single
-// messages), so their presence disables batching for this flush.
-func (w *connWriter) enqueueFragments(frames [][]byte) error {
-	w.pending.Add(1)
-	w.mu.Lock()
-	err := w.err
-	if err == nil {
-		w.bufs = append(w.bufs, frames...)
-		w.canBatch = false
-	}
-	w.mu.Unlock()
-	return w.finishWrite(err)
-}
-
-func (w *connWriter) finishWrite(err error) error {
 	runtime.Gosched()
 	if w.pending.Add(-1) == 0 {
 		w.mu.Lock()
@@ -133,9 +98,7 @@ func (w *connWriter) finishWrite(err error) error {
 }
 
 // flushLocked sends every queued segment in one vectored write and releases
-// the encoders backing them. When batching applies (enabled, >1 whole
-// message queued, total within MaxMessageSize) the segments are prefixed
-// with a batch-frame header so the peer sees a single giop.MsgBatch frame.
+// the encoders backing them.
 func (w *connWriter) flushLocked() error {
 	if w.err != nil {
 		w.releaseLocked()
@@ -143,19 +106,6 @@ func (w *connWriter) flushLocked() error {
 	}
 	if len(w.bufs) == 0 {
 		return nil
-	}
-	if w.batch && w.canBatch && len(w.bufs) > 1 {
-		total := 0
-		for _, s := range w.bufs {
-			total += len(s)
-		}
-		if total <= giop.MaxMessageSize() {
-			giop.PutBatchHeader(w.hdr[:], w.order, total)
-			w.bufs = append(w.bufs, nil)
-			copy(w.bufs[1:], w.bufs[:len(w.bufs)-1])
-			w.bufs[0] = w.hdr[:]
-			w.batches.Add(1)
-		}
 	}
 	// WriteTo via a copy of the slice header: consume() advances v and nils
 	// entries as they drain, while w.bufs keeps the backing array for reuse.
@@ -178,5 +128,4 @@ func (w *connWriter) releaseLocked() {
 	w.owned = w.owned[:0]
 	clear(w.bufs)
 	w.bufs = w.bufs[:0]
-	w.canBatch = true
 }

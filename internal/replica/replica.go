@@ -109,11 +109,6 @@ type ServiceConfig struct {
 	// for each object instantiated"; the object-table scaling bench
 	// measures that claim.
 	Objects int
-	// AcceptLoops shards the server ORB's accept loop across this many
-	// goroutines (0 or 1 means one). Striped client pools redial several
-	// connections per client after a recovery event; sharding keeps
-	// connection admission off the critical path of that storm.
-	AcceptLoops int
 	// StateDir, when non-empty, enables the durable-state subsystem: each
 	// replica persists an append-only op log plus incremental checkpoints
 	// under StateDir/<replica-name> and runs the recovery handshake
@@ -234,10 +229,15 @@ func (r *Replica) ExitReason() ExitReason { return r.reason }
 
 // Start brings the replica up: budget, injector, GCS membership, ORB,
 // naming registration, announcement, delivery and checkpoint loops.
-func (r *Replica) Start() error {
-	var err error
+func (r *Replica) Start() (err error) {
+	defer func() {
+		if err != nil {
+			r.cleanupPartial()
+			err = fmt.Errorf("replica %s: %w", r.name, err)
+		}
+	}()
 	if r.budget, err = faultinject.NewBudget(r.cfg.Fault); err != nil {
-		return fmt.Errorf("replica %s: %w", r.name, err)
+		return err
 	}
 	if r.cfg.InjectFault {
 		r.injector, err = faultinject.New(r.cfg.Fault, r.budget, func() {
@@ -245,7 +245,7 @@ func (r *Replica) Start() error {
 			go r.exit(ExitCrashed)
 		})
 		if err != nil {
-			return fmt.Errorf("replica %s: %w", r.name, err)
+			return err
 		}
 		r.injector.Instrument(r.cfg.Telemetry)
 	}
@@ -262,7 +262,7 @@ func (r *Replica) Start() error {
 			Logf:    r.cfg.Logf,
 		})
 		if derr != nil {
-			return fmt.Errorf("replica %s: %w", r.name, derr)
+			return derr
 		}
 		r.store = store
 		r.cfg.Telemetry.RecoveryStarted(r.name, int64(res.Snap.OpNumber)-int64(res.Replayed))
@@ -275,10 +275,7 @@ func (r *Replica) Start() error {
 	}
 
 	if r.member, err = gcs.Dial(r.cfg.HubAddr, r.name); err != nil {
-		if r.store != nil {
-			r.store.Close()
-		}
-		return fmt.Errorf("replica %s: %w", r.name, err)
+		return err
 	}
 
 	var adaptive *ftmgr.AdaptiveThreshold
@@ -292,8 +289,7 @@ func (r *Replica) Start() error {
 			go r.exit(ExitCrashed)
 		})
 		if err != nil {
-			r.cleanupPartial()
-			return fmt.Errorf("replica %s: %w", r.name, err)
+			return err
 		}
 		monitor = resource.MaxOf{r.budget, r.reqLeak.Budget()}
 	}
@@ -320,14 +316,12 @@ func (r *Replica) Start() error {
 		RecoverySnapshot: r.recoverySnapshot(),
 	})
 	if err != nil {
-		r.cleanupPartial()
-		return fmt.Errorf("replica %s: %w", r.name, err)
+		return err
 	}
 
 	r.srv = orb.NewServer(
 		orb.WithServerConnWrapper(r.mgr.WrapServerConn),
 		orb.WithServerTelemetry(r.cfg.Telemetry),
-		orb.WithServerAcceptLoops(r.cfg.AcceptLoops),
 		orb.WithConnClosedHook(func(active int) {
 			if active == 0 {
 				go r.maybeRejuvenate()
@@ -348,19 +342,16 @@ func (r *Replica) Start() error {
 		r.srv.Register(key, servant)
 	}
 	if err := r.srv.Listen("127.0.0.1:0"); err != nil {
-		r.cleanupPartial()
-		return fmt.Errorf("replica %s: %w", r.name, err)
+		return err
 	}
 	if err := r.srv.Start(); err != nil {
-		r.cleanupPartial()
-		return fmt.Errorf("replica %s: %w", r.name, err)
+		return err
 	}
 	iors := make([]giop.IOR, 0, len(keys))
 	for _, key := range keys {
 		keyIOR, err := r.srv.IORFor(r.cfg.TypeID, key)
 		if err != nil {
-			r.cleanupPartial()
-			return fmt.Errorf("replica %s: %w", r.name, err)
+			return err
 		}
 		iors = append(iors, keyIOR)
 	}
@@ -373,20 +364,17 @@ func (r *Replica) Start() error {
 	if r.cfg.NamesAddr != "" {
 		nc := namesvc.NewClient(r.cfg.NamesAddr)
 		if err := nc.Rebind(r.cfg.BindingName(r.name), ior); err != nil {
-			r.cleanupPartial()
-			return fmt.Errorf("replica %s: naming registration: %w", r.name, err)
+			return fmt.Errorf("naming registration: %w", err)
 		}
 	}
 
 	if err := r.member.Join(r.cfg.Group()); err != nil {
-		r.cleanupPartial()
-		return fmt.Errorf("replica %s: %w", r.name, err)
+		return err
 	}
 	// Announce every hosted object's IOR: the LOCATION_FORWARD scheme's
 	// per-object bookkeeping cost scales with this list.
 	if err := r.mgr.AnnounceSelf(r.srv.Addr(), iors); err != nil {
-		r.cleanupPartial()
-		return fmt.Errorf("replica %s: %w", r.name, err)
+		return err
 	}
 	if r.store != nil {
 		// Recovery handshake, VSR-style: having replayed the local log,
@@ -397,8 +385,7 @@ func (r *Replica) Start() error {
 		r.recoveryNonce = recoveryNonces.Add(1)
 		q := ftmgr.RecoveryQuery{From: r.name, OpNumber: r.state.OpNumber(), Nonce: r.recoveryNonce}
 		if err := r.member.Multicast(r.cfg.Group(), ftmgr.EncodeRecoveryQuery(q)); err != nil {
-			r.cleanupPartial()
-			return fmt.Errorf("replica %s: %w", r.name, err)
+			return err
 		}
 	}
 
