@@ -6,14 +6,15 @@ GOFMT ?= gofmt
 BENCH_ID ?= 10
 BENCH_PATTERN = GIOPRequestEncode|GIOPRequestDecode|GIOPReplyDecode|SerializedInvocations|PipelinedInvocations
 
-.PHONY: check fmt-check vet build test bench-smoke bench-module bench bench-json bench-compare fuzz-smoke chaos-smoke metrics-smoke dr-smoke
+.PHONY: check fmt-check vet build test wire-guards bench-smoke bench-module bench bench-json bench-compare fuzz-smoke chaos-smoke metrics-smoke dr-smoke
 
 ## check: the full verification gate — formatting, static analysis, build,
-## race-enabled tests, and a one-iteration smoke pass over every benchmark
-## (which also exercises the alloc-reporting paths). Run `make bench-compare`
+## race-enabled tests, the write-count and alloc guards without the race
+## detector, and a one-iteration smoke pass over every benchmark (which also
+## exercises the alloc-reporting paths). Run `make bench-compare`
 ## afterwards to gate wire-path performance against the committed
 ## BENCH_$(BENCH_ID).json snapshot, and `make bench-json` to re-baseline it.
-check: fmt-check vet build test bench-smoke
+check: fmt-check vet build test wire-guards bench-smoke
 
 ## fmt-check: fail (listing the offenders) when any tracked Go file is not
 ## gofmt-clean.
@@ -29,6 +30,15 @@ build:
 
 test:
 	$(GO) test -race ./...
+
+## wire-guards: the host-independent performance gates — transport writes per
+## burst and per invocation under the replicated path, appends per log-file
+## write, and the zero-allocation guards. `make test` runs them too, but under
+## -race sync.Pool drops a quarter of its Puts, which hides an allocation
+## behind the slack the guards then need; here they run exact.
+wire-guards:
+	$(GO) test -count=1 -run 'OneWrite|ShareServerWrites|SplitsBatch|ResendsBatch|DoNotAllocate|GroupCommits|FlushesConcurrent' \
+		./internal/interceptor/ ./internal/orb/ ./internal/durable/
 
 ## chaos-smoke: the deterministic network-chaos suite — the netfault
 ## injector's own tests plus the {scheme × fault-plan} conformance matrix

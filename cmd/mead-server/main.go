@@ -88,13 +88,16 @@ func run(args []string) error {
 		defer ms.Close()
 		fmt.Printf("mead-server: metrics on http://%s/metrics\n", ms.Addr())
 	}
+	// Catch signals before the replica is reachable: a supervisor (or the
+	// test) may send one the moment the serving line below appears.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
+	defer signal.Stop(sig)
 	if err := r.Start(); err != nil {
 		return err
 	}
 	fmt.Printf("mead-server: replica %s serving %s at %s\n", *name, *service, r.Addr())
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	select {
 	case <-sig:
 		r.Stop()

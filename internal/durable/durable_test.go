@@ -6,7 +6,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func testOp(n uint64, client string, seq uint64) Op {
@@ -375,5 +379,101 @@ func TestFaultPlanValidate(t *testing.T) {
 	}
 	if err := (FaultPlan{}).Validate(); err != nil {
 		t.Fatalf("empty plan rejected: %v", err)
+	}
+}
+
+// logRecords counts the whole records in the log file as it is on disk now,
+// without going through the store.
+func logRecords(t *testing.T, dir string) int {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(dir, "oplog"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for off := headerSize; off < len(raw); n++ {
+		_, size, err := DecodeLogRecord(raw[off:])
+		if err != nil {
+			break
+		}
+		off += size
+	}
+	return n
+}
+
+// TestStoreFlushesOnDeadline: appends nobody waits for are in the file once
+// the group-commit deadline has passed — not only after a Barrier or Close.
+func TestStoreFlushesOnDeadline(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := openStore(t, dir, nil)
+	defer s.Close()
+	for i := uint64(1); i <= 5; i++ {
+		s.Append(testOp(i, "c1", i))
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for logRecords(t, dir) != 5 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of 5 records on disk long after the %v flush deadline", logRecords(t, dir), flushDelay)
+		}
+		time.Sleep(flushDelay)
+	}
+}
+
+// TestStoreExplicitFlushesAreImmediate: Barrier and Checkpoint do not wait
+// for the deadline — when they return (Checkpoint: when a Barrier behind it
+// returns) everything queued before them is in the files.
+func TestStoreExplicitFlushesAreImmediate(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := openStore(t, dir, nil)
+	defer s.Close()
+	s.Barrier() // let the start-up deadline pass its empty flush first
+	for i := uint64(1); i <= 3; i++ {
+		s.Append(testOp(i, "c1", i))
+	}
+	s.Barrier()
+	if got := logRecords(t, dir); got != 3 {
+		t.Fatalf("%d of 3 records on disk when Barrier returned", got)
+	}
+	s.Append(testOp(4, "c1", 4))
+	s.Checkpoint(Snapshot{OpNumber: 4, Counter: 4})
+	s.Append(testOp(5, "c1", 5))
+	s.Barrier()
+	if got := logRecords(t, dir); got != 1 {
+		t.Fatalf("log holds %d records after a checkpoint and one append, want 1", got)
+	}
+	if raw, err := os.ReadFile(filepath.Join(dir, "checkpoint")); err != nil {
+		t.Fatal(err)
+	} else if snap, err := decodeCheckpointFile(raw); err != nil || snap.OpNumber != 4 {
+		t.Fatalf("checkpoint on disk = %+v, %v", snap, err)
+	}
+}
+
+// TestStoreGroupCommitsUnderLoad: two callers appending between other work
+// share file writes. Waking the writer per append and flushing whatever it
+// drained wrote about once per record on one P.
+func TestStoreGroupCommitsUnderLoad(t *testing.T) {
+	s, _ := openStore(t, t.TempDir(), nil)
+	const callers, each = 2, 2000
+	var next atomic.Uint64
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				n := next.Add(1)
+				s.Append(testOp(n, "c1", n))
+				runtime.Gosched() // the writer gets to run between appends
+			}
+		}()
+	}
+	wg.Wait()
+	s.Close()
+	if s.Dropped() != 0 {
+		t.Fatalf("%d appends dropped", s.Dropped())
+	}
+	t.Logf("%d appends in %d file writes", callers*each, s.fileWrites)
+	if perWrite := float64(callers*each) / float64(s.fileWrites); perWrite < 20 {
+		t.Fatalf("%.1f appends per file write, want >= 20", perWrite)
 	}
 }

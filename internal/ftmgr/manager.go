@@ -326,20 +326,16 @@ func (m *Manager) nextReplicaLocked() (Announce, bool) {
 	return Announce{}, false
 }
 
-// forwardIORFor finds the next replica's IOR for the object identified by
-// key, via the 16-bit hash table.
-func (m *Manager) forwardIORFor(key []byte) (giop.IOR, string, bool) {
+// forwardIORFor finds the next replica's IOR for the object whose key has
+// the 16-bit hash keyHash.
+func (m *Manager) forwardIORFor(keyHash uint16) (giop.IOR, string, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	next, ok := m.nextReplicaLocked()
 	if !ok {
 		return giop.IOR{}, "", false
 	}
-	byName, ok := m.iorsByHash[giop.Hash16(key)]
-	if !ok {
-		return giop.IOR{}, "", false
-	}
-	ior, ok := byName[next.Name]
+	ior, ok := m.iorsByHash[keyHash][next.Name]
 	if !ok {
 		return giop.IOR{}, "", false
 	}
@@ -427,15 +423,50 @@ func (m *Manager) noteRequest() {
 	}
 }
 
+// maxTrackedRequests bounds connState.outstanding: a client that pipelines
+// deeper than this gets its surplus requests answered normally instead of
+// forwarded, and retries the migration on its next invocation.
+const maxTrackedRequests = 1024
+
 // connState is the per-connection request tracking the LOCATION_FORWARD
 // scheme needs ("we need to parse incoming GIOP Request messages to extract
 // the request id field so that we can generate corresponding
 // LOCATION_FORWARD Reply messages that contain the correct request id and
-// object key").
+// object key"). A pooled client keeps several requests in flight, so the
+// object (as the 16-bit hash of its key, which is what the IOR table is
+// indexed by) is remembered per request id from the Request until its Reply
+// passes. The read hook and the write hook run on different goroutines.
 type connState struct {
-	lastRequestID uint32
-	lastObjectKey []byte
-	haveRequest   bool
+	mu          sync.Mutex
+	outstanding []trackedRequest // a handful at most: scanned, not indexed
+}
+
+type trackedRequest struct {
+	id      uint32
+	keyHash uint16
+}
+
+func (st *connState) note(id uint32, keyHash uint16) {
+	st.mu.Lock()
+	if len(st.outstanding) < maxTrackedRequests {
+		st.outstanding = append(st.outstanding, trackedRequest{id, keyHash})
+	}
+	st.mu.Unlock()
+}
+
+// take forgets request id and reports what was noted of it.
+func (st *connState) take(id uint32) (trackedRequest, bool) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for i, r := range st.outstanding {
+		if r.id == id {
+			last := len(st.outstanding) - 1
+			st.outstanding[i] = st.outstanding[last]
+			st.outstanding = st.outstanding[:last]
+			return r, true
+		}
+	}
+	return trackedRequest{}, false
 }
 
 // WrapServerConn interposes the scheme's server-side interceptor on an
@@ -453,13 +484,12 @@ func (m *Manager) WrapServerConn(conn net.Conn) net.Conn {
 			if m.cfg.Scheme == LocationForward {
 				// Full request parsing: the dominant cost of this scheme (90%
 				// RTT overhead in the paper). The decoded header borrows the
-				// frame buffer, so the object key is copied into state that
-				// outlives this hook call.
+				// frame buffer; only the key's hash outlives this hook call.
 				hdr, d, err := giop.DecodeRequest(f.Header.Order, f.Body())
 				if err == nil {
-					st.lastRequestID = hdr.RequestID
-					st.lastObjectKey = append(st.lastObjectKey[:0], hdr.ObjectKey...)
-					st.haveRequest = true
+					if hdr.ResponseExpected {
+						st.note(hdr.RequestID, giop.Hash16(hdr.ObjectKey))
+					}
 					d.Release()
 				}
 			}
@@ -469,16 +499,28 @@ func (m *Manager) WrapServerConn(conn net.Conn) net.Conn {
 			if f.Kind != giop.FrameGIOP || f.Header.Type != giop.MsgReply {
 				return f.Raw, nil
 			}
-			// Write-side interception sees wire frames one at a time; a
-			// fragmented reply (first frame flagged) is passed through
-			// rather than rewritten mid-stream.
-			if f.Header.Fragmented {
-				return f.Raw, nil
-			}
 			// Only the proactive schemes run the threshold machinery;
 			// the reactive baselines and the NEEDS_ADDRESSING scheme
 			// (abrupt failures, no advance warning) serve replies as-is.
 			if !m.cfg.Scheme.Proactive() {
+				return f.Raw, nil
+			}
+			// The Reply names the request it answers; with several in flight
+			// that is the only sound source for the id of a fabricated
+			// LOCATION_FORWARD and for which object it must forward.
+			var (
+				req     trackedRequest
+				tracked bool
+			)
+			if m.cfg.Scheme == LocationForward {
+				if id, err := giop.ReplyIDOf(f.Header.Order, f.Body()); err == nil {
+					req, tracked = st.take(id)
+				}
+			}
+			// Write-side interception sees wire frames one at a time; a
+			// fragmented reply (first frame flagged) is passed through
+			// rather than rewritten mid-stream.
+			if f.Header.Fragmented {
 				return f.Raw, nil
 			}
 			migrate := false
@@ -494,7 +536,10 @@ func (m *Manager) WrapServerConn(conn net.Conn) net.Conn {
 			}
 			switch m.cfg.Scheme {
 			case LocationForward:
-				return m.rewriteLocationForward(st, f)
+				if !tracked {
+					return f.Raw, nil
+				}
+				return m.rewriteLocationForward(f, req)
 			case MeadMessage:
 				return m.piggybackMead(f)
 			default:
@@ -505,14 +550,11 @@ func (m *Manager) WrapServerConn(conn net.Conn) net.Conn {
 	return interceptor.New(conn, hooks)
 }
 
-// rewriteLocationForward suppresses the replica's normal reply and
-// fabricates a LOCATION_FORWARD reply holding the next replica's IOR
-// (Section 4.1).
-func (m *Manager) rewriteLocationForward(st *connState, f giop.Frame) ([]byte, error) {
-	if !st.haveRequest {
-		return f.Raw, nil
-	}
-	ior, _, ok := m.forwardIORFor(st.lastObjectKey)
+// rewriteLocationForward suppresses the replica's normal reply to req and
+// fabricates a LOCATION_FORWARD reply holding the next replica's IOR for the
+// object the request addressed (Section 4.1).
+func (m *Manager) rewriteLocationForward(f giop.Frame, req trackedRequest) ([]byte, error) {
+	ior, _, ok := m.forwardIORFor(req.keyHash)
 	if !ok {
 		return f.Raw, nil // no migration target known; serve normally
 	}
@@ -520,7 +562,7 @@ func (m *Manager) rewriteLocationForward(st *connState, f giop.Frame) ([]byte, e
 	m.migrations++
 	m.mu.Unlock()
 	fwd := giop.EncodeReply(f.Header.Order,
-		giop.ReplyHeader{RequestID: st.lastRequestID, Status: giop.ReplyLocationForward},
+		giop.ReplyHeader{RequestID: req.id, Status: giop.ReplyLocationForward},
 		func(e *cdr.Encoder) { giop.EncodeIOR(e, ior) })
 	return fwd, nil
 }

@@ -11,6 +11,7 @@ import (
 	"mead/internal/cdr"
 	"mead/internal/gcs"
 	"mead/internal/giop"
+	"mead/internal/interceptor"
 	"mead/internal/resource"
 )
 
@@ -326,7 +327,7 @@ func TestForwardIORLookup(t *testing.T) {
 	_ = n2.m.AnnounceSelf("a2", []giop.IOR{giop.NewIOR("IDL:t:1.0", "127.0.0.1", 2, key)})
 	waitFor(t, "membership", func() bool { return len(n1.m.Replicas()) == 2 })
 
-	ior, addr, ok := n1.m.forwardIORFor(key)
+	ior, addr, ok := n1.m.forwardIORFor(giop.Hash16(key))
 	if !ok {
 		t.Fatal("no forward IOR")
 	}
@@ -337,7 +338,7 @@ func TestForwardIORLookup(t *testing.T) {
 	if prof.Port != 2 {
 		t.Fatalf("forward port = %d", prof.Port)
 	}
-	if _, _, ok := n1.m.forwardIORFor([]byte("unknown-key")); ok {
+	if _, _, ok := n1.m.forwardIORFor(giop.Hash16([]byte("unknown-key"))); ok {
 		t.Fatal("unknown key produced a forward IOR")
 	}
 }
@@ -354,11 +355,10 @@ func TestCheckThresholdsCountsFromWritePath(t *testing.T) {
 	_ = n2.m.AnnounceSelf("a2", []giop.IOR{giop.NewIOR("IDL:t:1.0", "127.0.0.1", 2, key)})
 	waitFor(t, "membership", func() bool { return len(n1.m.Replicas()) == 2 })
 
-	st := &connState{lastRequestID: 77, lastObjectKey: key, haveRequest: true}
 	n1.m.checkThresholds()
 	orig := giop.EncodeReply(cdr.BigEndian, giop.ReplyHeader{RequestID: 77, Status: giop.ReplyNoException}, nil)
 	frame := giop.Frame{Kind: giop.FrameGIOP, Header: giop.Header{Major: 1, Order: cdr.BigEndian, Type: giop.MsgReply, Size: uint32(len(orig) - giop.HeaderLen)}, Raw: orig}
-	out, err := n1.m.rewriteLocationForward(st, frame)
+	out, err := n1.m.rewriteLocationForward(frame, trackedRequest{id: 77, keyHash: giop.Hash16(key)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,5 +430,90 @@ func TestServerReadHookObservesOnlyRequests(t *testing.T) {
 	pass(req)
 	if n := first.Load(); n != 1 {
 		t.Fatalf("first-request callbacks after a real Request = %d, want 1", n)
+	}
+}
+
+// TestLocationForwardAnswersEachInFlightRequest drives the server-side hooks
+// the way a pooled client does: two Requests for two different objects are
+// read before either Reply is written, and both Replies leave in one burst
+// while the replica is migrating. Each must be replaced by a
+// LOCATION_FORWARD carrying its own request id and its own object's IOR at
+// the next replica — taking both from "the last request seen" answered the
+// second request twice and the first never.
+func TestLocationForwardAnswersEachInFlightRequest(t *testing.T) {
+	h := startHub(t)
+	b := budgetAt(t, 0.95)
+	n1 := newManagerNode(t, h, "r1", LocationForward, b)
+	n2 := newManagerNode(t, h, "r2", LocationForward, b)
+	keyA := giop.MakeObjectKey("timeofday", "clock")
+	keyB := giop.MakeObjectKey("timeofday", "clock-1")
+	iorsAt := func(port uint16) []giop.IOR {
+		return []giop.IOR{
+			giop.NewIOR("IDL:t:1.0", "127.0.0.1", port, keyA),
+			giop.NewIOR("IDL:t:1.0", "127.0.0.1", port, keyB),
+		}
+	}
+	_ = n1.m.AnnounceSelf("a1", iorsAt(1))
+	_ = n2.m.AnnounceSelf("a2", iorsAt(2))
+	waitFor(t, "membership", func() bool { return len(n1.m.Replicas()) == 2 })
+
+	peer, under := net.Pipe()
+	defer peer.Close()
+	conn := n1.m.WrapServerConn(under)
+	defer conn.Close()
+
+	request := func(id uint32, key []byte, expectReply bool) []byte {
+		return giop.EncodeRequest(cdr.BigEndian, giop.RequestHeader{
+			RequestID: id, ResponseExpected: expectReply, ObjectKey: key, Operation: "time_of_day",
+		}, nil)
+	}
+	// A oneway in between must not be remembered: no Reply will ever drop it.
+	in := bytes.Join([][]byte{request(11, keyA, true), request(12, keyA, false), request(13, keyB, true)}, nil)
+	go func() { _, _ = peer.Write(in) }()
+	if _, err := io.ReadFull(conn, make([]byte, len(in))); err != nil {
+		t.Fatal(err)
+	}
+
+	reply := func(id uint32) []byte {
+		return giop.EncodeReply(cdr.BigEndian, giop.ReplyHeader{RequestID: id, Status: giop.ReplyNoException}, nil)
+	}
+	// Replies may overtake each other; 99 answers no request this
+	// connection has seen and must pass through untouched.
+	go func() {
+		_, _ = conn.(*interceptor.Conn).WriteBuffers(net.Buffers{reply(13), reply(99), reply(11)})
+	}()
+	wantKey := map[uint32][]byte{13: keyB, 11: keyA}
+	for i, wantID := range []uint32{13, 99, 11} {
+		hd, body, err := giop.ReadMessage(peer)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		rh, d, err := giop.DecodeReply(hd.Order, body)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if rh.RequestID != wantID {
+			t.Fatalf("frame %d answers request %d, want %d", i, rh.RequestID, wantID)
+		}
+		if wantID == 99 {
+			if rh.Status != giop.ReplyNoException {
+				t.Fatalf("reply to an unknown request rewritten to %v", rh.Status)
+			}
+			continue
+		}
+		if rh.Status != giop.ReplyLocationForward {
+			t.Fatalf("reply %d has status %v, want LOCATION_FORWARD", wantID, rh.Status)
+		}
+		fwd, err := giop.DecodeIOR(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prof, _ := fwd.IIOP()
+		if prof.Port != 2 || !bytes.Equal(prof.ObjectKey, wantKey[wantID]) {
+			t.Fatalf("reply %d forwards to port %d key %q", wantID, prof.Port, prof.ObjectKey)
+		}
+	}
+	if got := n1.m.Migrations(); got != 2 {
+		t.Fatalf("migrations = %d, want 2 (one per forwarded request)", got)
 	}
 }

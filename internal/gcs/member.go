@@ -93,9 +93,14 @@ func DialWith(dial DialFunc, addr, name string) (*Member, error) {
 		return nil, fmt.Errorf("gcs: dial hub %s: %w", addr, err)
 	}
 	m := &Member{
-		name:       name,
-		conn:       conn,
-		deliveries: make(chan Delivery, 1024),
+		name: name,
+		conn: conn,
+		// 64 deliveries (8 KiB) ride out a burst of views and checkpoints
+		// while the consumer is busy; behind a slower consumer the socket and
+		// the hub's own per-member queue hold the backlog. A replica group
+		// under rejuvenation dials a member every few tens of milliseconds,
+		// so the queue is sized to be cheap, not to be the backlog.
+		deliveries: make(chan Delivery, 64),
 		quit:       make(chan struct{}),
 		done:       make(chan struct{}),
 	}

@@ -159,12 +159,13 @@ func ReadFrame(r io.Reader) (Frame, error) {
 // the frame. Fragmented GIOP messages take an allocating slow path so Raw
 // can hold every original wire byte.
 func ReadFrameInto(r io.Reader, scratch []byte) (Frame, []byte, error) {
-	hbp := hdrScratchPool.Get().(*[HeaderLen]byte)
-	defer hdrScratchPool.Put(hbp)
-	if _, err := io.ReadFull(r, hbp[:]); err != nil {
+	// The header is parsed in the pooled scratch itself: a local copy would
+	// escape through the error paths and cost an allocation per frame.
+	hb := hdrScratchPool.Get().(*[HeaderLen]byte)
+	defer hdrScratchPool.Put(hb)
+	if _, err := io.ReadFull(r, hb[:]); err != nil {
 		return Frame{}, scratch, err
 	}
-	hb := *hbp
 	switch string(hb[:4]) {
 	case Magic:
 		h, err := ParseHeader(hb[:])
@@ -179,7 +180,7 @@ func ReadFrameInto(r io.Reader, scratch []byte) (Frame, []byte, error) {
 			}
 			return Frame{Kind: FrameGIOP, Header: h, Raw: scratch}, scratch, nil
 		}
-		f, err := readFragmentedFrame(r, h, hb)
+		f, err := readFragmentedFrame(r, h, *hb)
 		return f, scratch, err
 	case MeadMagic:
 		t, n, err := ParseMeadHeader(hb[:])

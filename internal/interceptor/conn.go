@@ -17,9 +17,14 @@
 //     connection to the failing replica, and point the connection to the
 //     new address").
 //
-// A Conn is used by a single request/reply goroutine, like a socket in a
-// single-threaded CORBA client; only Close and SwapUnder may be called
-// concurrently with Read/Write.
+// A Conn has one reading and one writing goroutine at a time (they may be
+// the same, as in a single-threaded CORBA client); only Close and SwapUnder
+// may be called concurrently with Read/Write.
+//
+// The write side preserves the ORB's own I/O shape, as interposing on
+// writev() does: every whole frame handed over in one Write or WriteBuffers
+// call passes through OnWriteFrame one by one, and the outputs leave in a
+// single transport write (docs/PROTOCOL.md §10).
 package interceptor
 
 import (
@@ -46,7 +51,11 @@ type Hooks struct {
 	OnReadFrame func(c *Conn, f giop.Frame) ([]byte, error)
 	// OnWriteFrame observes each whole outbound frame and returns the
 	// bytes to put on the wire: f.Raw to pass through, a replacement, or a
-	// replacement with additional piggybacked frames.
+	// replacement with additional piggybacked frames. The frame aliases the
+	// writer's buffer and the returned bytes are copied into the Conn's batch
+	// before the next frame is offered; retain neither. A hook that calls
+	// SwapUnder splits the batch: the outputs of earlier frames leave on the
+	// old transport, this frame's on the new one.
 	OnWriteFrame func(c *Conn, f giop.Frame) ([]byte, error)
 	// OnReadEOF is consulted when the underlying transport fails mid-read
 	// (EOF or reset — the paper's signature of an abrupt server failure).
@@ -56,11 +65,11 @@ type Hooks struct {
 	// re-parsed), so a hook that fabricates a truncated frame simply leaves
 	// the ORB to detect the short stream itself.
 	OnReadEOF func(c *Conn, err error) (substitute []byte, resume bool)
-	// OnWriteError is consulted when writing a whole frame to the
+	// OnWriteError is consulted when writing a batch of whole frames to the
 	// underlying transport fails with a stream-end error (reset or closed
 	// pipe — the write-side signature of an abrupt peer failure). The hook
 	// may repair the connection (SwapUnder) and return true, in which case
-	// the frame is rewritten once, in full, on the new transport; false
+	// the whole batch is rewritten once on the new transport; false
 	// propagates the error to the ORB.
 	OnWriteError func(c *Conn, err error) (resume bool)
 }
@@ -80,9 +89,23 @@ type Conn struct {
 	underMu sync.Mutex
 	under   net.Conn
 	closed  bool
+	// batch holds the hook outputs accepted for `under` and not yet written.
+	// It shares underMu with `under` so that SwapUnder detaches it and
+	// repoints the stream in one step: bytes accepted before a swap leave on
+	// the transport they were accepted for.
+	batch   []byte
+	swapErr error // pre-swap flush failure, reported by the next flush
 
-	readBuf  []byte // filtered bytes awaiting delivery to the ORB
-	writeBuf []byte // partial outbound frame accumulation
+	// Write-goroutine state.
+	writeBuf []byte // partial outbound frame awaiting its remaining bytes
+	spare    []byte // the batch's backing array between flushes
+
+	// Read-goroutine state: filtered bytes awaiting delivery to the ORB are
+	// readBuf[readOff:]; readErr is a failure met while draining frames
+	// behind bytes that are still to be delivered.
+	readBuf []byte
+	readOff int
+	readErr error
 
 	// src buffers reads from the transport. It is owned exclusively by the
 	// Read goroutine (SwapUnder only swaps `under`); when that goroutine
@@ -115,11 +138,12 @@ func (c *Conn) Under() net.Conn {
 }
 
 // SwapUnder atomically redirects the stream to newConn, closing the old
-// transport — the dup2() equivalent. Any buffered inbound bytes are
-// preserved (they were already delivered by the old replica). Swapping a
-// connection that has already been Closed closes newConn instead of
-// resurrecting the stream, so a hook-driven repair racing Close cannot leak
-// the replacement transport.
+// transport — the dup2() equivalent. Hook outputs already accepted for the
+// old transport are written to it first (a hook swapping mid-burst splits
+// the batch at the swap); buffered inbound bytes are preserved (they were
+// already delivered by the old replica). Swapping a connection that has
+// already been Closed closes newConn instead of resurrecting the stream, so
+// a hook-driven repair racing Close cannot leak the replacement transport.
 func (c *Conn) SwapUnder(newConn net.Conn) {
 	c.underMu.Lock()
 	if c.closed {
@@ -129,10 +153,20 @@ func (c *Conn) SwapUnder(newConn net.Conn) {
 		}
 		return
 	}
-	old := c.under
-	c.under = newConn
+	old, pending := c.under, c.batch
+	c.under, c.batch = newConn, nil
 	c.underMu.Unlock()
-	if old != nil && old != newConn {
+	if old == nil {
+		return
+	}
+	if len(pending) > 0 {
+		if _, err := old.Write(pending); err != nil {
+			c.underMu.Lock()
+			c.swapErr = err
+			c.underMu.Unlock()
+		}
+	}
+	if old != newConn {
 		_ = old.Close()
 	}
 }
@@ -190,106 +224,196 @@ func (r srcReader) Read(p []byte) (int, error) {
 // Read returns filtered stream bytes. It reads whole frames from the
 // underlying transport, passes each through OnReadFrame, and serves the
 // results; the ORB on top performs its usual header-then-body reads and
-// never observes MEAD frames or suppressed messages.
+// never observes MEAD frames or suppressed messages. One Read filters every
+// whole frame the transport has already delivered, so a burst reaches the
+// ORB's own read buffer in one piece.
 func (c *Conn) Read(p []byte) (int, error) {
-	for len(c.readBuf) == 0 {
-		if c.isClosed() {
-			return 0, net.ErrClosed
-		}
-		f, fb, err := giop.ReadFrameInto(srcReader{c}, c.frameBuf)
-		c.frameBuf = fb
-		if err != nil {
-			if c.isClosed() {
-				return 0, err
-			}
-			if isStreamEnd(err) && c.hooks.OnReadEOF != nil {
-				if sub, resume := c.hooks.OnReadEOF(c, err); resume {
-					c.readBuf = append(c.readBuf, sub...)
-					continue
-				}
-			}
+	if c.readOff == len(c.readBuf) {
+		c.readBuf, c.readOff = c.readBuf[:0], 0
+		if err := c.fill(); err != nil {
 			return 0, err
 		}
-		out := f.Raw
-		if c.hooks.OnReadFrame != nil {
-			out, err = c.hooks.OnReadFrame(c, f)
-			if err != nil {
-				return 0, err
+	}
+	n := copy(p, c.readBuf[c.readOff:])
+	c.readOff += n
+	return n, nil
+}
+
+// fill blocks until readBuf holds filtered bytes, then keeps filtering while
+// another whole frame is already buffered. An error met behind deliverable
+// bytes waits in readErr for the Read that finds readBuf drained.
+func (c *Conn) fill() error {
+	if err := c.readErr; err != nil {
+		c.readErr = nil
+		return err
+	}
+	for len(c.readBuf) == 0 || c.frameBuffered() {
+		if err := c.filterFrame(); err != nil {
+			if len(c.readBuf) == 0 {
+				return err
+			}
+			c.readErr = err
+			break
+		}
+	}
+	return nil
+}
+
+// filterFrame reads one frame (or, at a stream end, the OnReadEOF
+// substitute) and appends what the ORB should see of it to readBuf.
+func (c *Conn) filterFrame() error {
+	if c.isClosed() {
+		return net.ErrClosed
+	}
+	f, fb, err := giop.ReadFrameInto(srcReader{c}, c.frameBuf)
+	c.frameBuf = fb
+	if err != nil {
+		if !c.isClosed() && isStreamEnd(err) && c.hooks.OnReadEOF != nil {
+			if sub, resume := c.hooks.OnReadEOF(c, err); resume {
+				c.readBuf = append(c.readBuf, sub...)
+				return nil
 			}
 		}
-		c.readBuf = append(c.readBuf, out...)
+		return err
 	}
-	n := copy(p, c.readBuf)
-	c.readBuf = c.readBuf[n:]
-	return n, nil
+	out := f.Raw
+	if c.hooks.OnReadFrame != nil {
+		if out, err = c.hooks.OnReadFrame(c, f); err != nil {
+			return err
+		}
+	}
+	c.readBuf = append(c.readBuf, out...)
+	return nil
+}
+
+// frameBuffered reports whether src already holds a whole frame, so that
+// reading it cannot block. A fragmented message does not count: its
+// continuation frames may still be in flight.
+func (c *Conn) frameBuffered() bool {
+	if c.src == nil || len(c.carry) > 0 {
+		return false
+	}
+	head, _ := c.src.Peek(c.src.Buffered())
+	n, err := peekFrameLen(head)
+	if err != nil || n == 0 {
+		return false
+	}
+	return string(head[:4]) != giop.Magic || head[6]&giop.FlagMoreFragments == 0
 }
 
 // Write accumulates outbound bytes until whole frames are available, passes
 // each frame through OnWriteFrame, and writes the (possibly rewritten)
-// result to the wire.
+// results to the wire in one transport write.
 //
 // A corrupt or oversized frame header fails the Write with the underlying
 // typed error (ErrBadMagic, ErrBadVersion, giop.ErrTooLarge) instead of
 // accumulating bytes forever waiting for a frame that can never complete:
-// with valid headers the buffer is bounded by one maximum-size frame.
+// with valid headers the partial-frame buffer is bounded by one maximum-size
+// frame. Frames accepted ahead of a failing one still reach the wire.
 func (c *Conn) Write(p []byte) (int, error) {
-	c.writeBuf = append(c.writeBuf, p...)
+	err := c.accept(p)
+	if ferr := c.flush(); err == nil {
+		err = ferr
+	}
+	if err != nil {
+		return 0, err
+	}
+	return len(p), nil
+}
+
+// WriteBuffers is the vectored Write: the segments of v are consumed as one
+// contiguous stretch of the stream and every frame they complete leaves in a
+// single transport write. orb's connection writer hands its coalesced flush
+// here, which net.Buffers.WriteTo would otherwise split into one Write per
+// segment on anything but a raw TCP connection.
+func (c *Conn) WriteBuffers(v net.Buffers) (int64, error) {
+	var n int64
+	var err error
+	for _, seg := range v {
+		if err = c.accept(seg); err != nil {
+			break
+		}
+		n += int64(len(seg))
+	}
+	if ferr := c.flush(); err == nil {
+		err = ferr
+	}
+	return n, err
+}
+
+// accept runs every whole frame now available — the held partial frame once
+// p completes it, then the frames inside p — through OnWriteFrame and queues
+// the outputs on the batch. Only a trailing partial frame is kept back, in
+// writeBuf; after an error the outbound stream is dead and nothing is.
+func (c *Conn) accept(p []byte) error {
+	src := p
+	if len(c.writeBuf) > 0 {
+		c.writeBuf = append(c.writeBuf, p...)
+		src = c.writeBuf
+	}
+	rest, err := c.acceptFrames(src)
+	c.writeBuf = append(c.writeBuf[:0], rest...)
+	return err
+}
+
+// acceptFrames consumes the whole frames at the head of src and returns the
+// partial frame behind them. Frames are parsed where they lie
+// (capacity-capped so hook-side appends cannot scribble on the next frame),
+// so a pass-through frame is copied once, into the batch.
+func (c *Conn) acceptFrames(src []byte) (rest []byte, err error) {
 	for {
-		frameLen, err := peekFrameLen(c.writeBuf)
+		frameLen, err := peekFrameLen(src)
 		if err != nil {
-			c.writeBuf = c.writeBuf[:0]
-			return 0, fmt.Errorf("interceptor: outbound stream corrupt: %w", err)
+			return nil, fmt.Errorf("interceptor: outbound stream corrupt: %w", err)
 		}
 		if frameLen == 0 {
-			return len(p), nil // wait for the rest of the frame
+			return src, nil // wait for the rest of the frame
 		}
-		// The frame is parsed in place (capacity-capped so hook-side appends
-		// cannot scribble on the remainder); hooks must not retain f.Raw
-		// past their return — the buffer is reclaimed below.
-		raw := c.writeBuf[:frameLen:frameLen]
-
+		raw := src[:frameLen:frameLen]
 		f, err := parseFrame(raw)
 		if err != nil {
-			c.writeBuf = c.writeBuf[:0]
-			return 0, err
+			return nil, err
 		}
 		out := raw
 		if c.hooks.OnWriteFrame != nil {
-			out, err = c.hooks.OnWriteFrame(c, f)
-			if err != nil {
-				return 0, err
+			if out, err = c.hooks.OnWriteFrame(c, f); err != nil {
+				return nil, err
 			}
 		}
-		if len(out) != 0 {
-			if err := c.writeFrame(out); err != nil {
-				return 0, err
+		if len(out) > 0 {
+			c.underMu.Lock()
+			if c.batch == nil {
+				c.batch, c.spare = c.spare[:0], nil
 			}
+			c.batch = append(c.batch, out...)
+			c.underMu.Unlock()
 		}
-		// Reclaim the processed frame: slide the remainder to the front so
-		// the buffer never drifts through (and pins) its backing array.
-		n := copy(c.writeBuf, c.writeBuf[frameLen:])
-		c.writeBuf = c.writeBuf[:n]
+		src = src[frameLen:]
 	}
 }
 
-// writeFrame puts one whole (possibly rewritten) frame on the wire. A
-// stream-end failure is offered to OnWriteError, which may repair the
-// transport (SwapUnder) and resume; the frame is then retransmitted once,
-// in full, on the new transport. A truncated first attempt is safe to
-// repeat: the peer discards the partial frame when its end of the broken
-// connection dies.
-func (c *Conn) writeFrame(out []byte) error {
-	_, err := c.Under().Write(out)
+// flush puts the batch on the wire in one transport write. A stream-end
+// failure is offered to OnWriteError, which may repair the transport
+// (SwapUnder) and resume; the whole batch is then retransmitted once on the
+// new transport. A truncated first attempt is safe to repeat: the peer
+// discards the partial frame when its end of the broken connection dies.
+func (c *Conn) flush() error {
+	c.underMu.Lock()
+	out, under, err := c.batch, c.under, c.swapErr
+	c.batch, c.swapErr = nil, nil
+	c.underMu.Unlock()
+	if len(out) == 0 {
+		return err
+	}
+	_, werr := under.Write(out)
+	if werr != nil && !c.isClosed() && isStreamEnd(werr) &&
+		c.hooks.OnWriteError != nil && c.hooks.OnWriteError(c, werr) {
+		_, werr = c.Under().Write(out)
+	}
+	c.spare = out[:0]
 	if err == nil {
-		return nil
+		err = werr
 	}
-	if c.isClosed() || !isStreamEnd(err) || c.hooks.OnWriteError == nil {
-		return err
-	}
-	if !c.hooks.OnWriteError(c, err) {
-		return err
-	}
-	_, err = c.Under().Write(out)
 	return err
 }
 

@@ -550,3 +550,263 @@ func TestWriteBufReclaimedAfterFrames(t *testing.T) {
 		t.Fatalf("writeBuf capacity drifted to %d", cap(ic.writeBuf))
 	}
 }
+
+// sinkConn is a transport that records every Write it is handed, so a test
+// can count transport writes — the stand-in for write system calls — and see
+// which bytes each carried. failNext makes that many Writes fail with a
+// stream-end error first.
+type sinkConn struct {
+	net.Conn // nil: only Write and Close are ever called
+	writes   [][]byte
+	failNext int
+	closed   bool
+}
+
+func (s *sinkConn) Write(p []byte) (int, error) {
+	if s.failNext > 0 {
+		s.failNext--
+		return 0, net.ErrClosed
+	}
+	s.writes = append(s.writes, append([]byte(nil), p...))
+	return len(p), nil
+}
+
+func (s *sinkConn) Close() error { s.closed = true; return nil }
+
+func (s *sinkConn) stream() []byte { return bytes.Join(s.writes, nil) }
+
+// burst is n reply frames as separate segments, the shape of one coalesced
+// flush of orb's connection writer.
+func burst(n int) (net.Buffers, [][]byte) {
+	var v net.Buffers
+	var frames [][]byte
+	for i := 1; i <= n; i++ {
+		f := replyFrame(uint32(i))
+		frames = append(frames, f)
+		v = append(v, f)
+	}
+	return v, frames
+}
+
+// TestWriteBuffersLeavesInOneWrite: a burst handed over in one vectored call
+// passes the hook frame by frame and reaches the transport as ONE write, with
+// rewrites (a substituted frame, a piggybacked MEAD frame, a consumed frame)
+// landing in frame order and every other frame byte-exact.
+func TestWriteBuffersLeavesInOneWrite(t *testing.T) {
+	sink := &sinkConn{}
+	mead := giop.EncodeMead(giop.MeadFailover, []byte("next:1"))
+	forward := giop.EncodeReply(cdr.BigEndian,
+		giop.ReplyHeader{RequestID: 3, Status: giop.ReplyLocationForward}, nil)
+	var seen []uint32
+	ic := New(sink, Hooks{
+		OnWriteFrame: func(c *Conn, f giop.Frame) ([]byte, error) {
+			id, err := giop.ReplyIDOf(f.Header.Order, f.Body())
+			if err != nil {
+				return nil, err
+			}
+			seen = append(seen, id)
+			switch id {
+			case 3: // the LOCATION_FORWARD scheme's rewrite
+				return forward, nil
+			case 5: // the MEAD scheme's piggyback
+				return append(append([]byte(nil), mead...), f.Raw...), nil
+			case 7:
+				return nil, nil
+			}
+			return f.Raw, nil
+		},
+	})
+	v, frames := burst(8)
+	n, err := ic.WriteBuffers(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []byte
+	var total int
+	for i, f := range frames {
+		total += len(f)
+		switch i + 1 {
+		case 3:
+			want = append(want, forward...)
+		case 5:
+			want = append(append(want, mead...), f...)
+		case 7:
+		default:
+			want = append(want, f...)
+		}
+	}
+	if int(n) != total {
+		t.Fatalf("WriteBuffers consumed %d bytes, want %d", n, total)
+	}
+	if len(sink.writes) != 1 {
+		t.Fatalf("burst of 8 frames reached the transport in %d writes, want 1", len(sink.writes))
+	}
+	if !bytes.Equal(sink.writes[0], want) {
+		t.Fatal("rewritten burst differs from the frame-by-frame expectation")
+	}
+	if len(seen) != 8 || seen[0] != 1 || seen[7] != 8 {
+		t.Fatalf("hook saw frames %v, want 1..8 in order", seen)
+	}
+	// A multi-frame Write is a burst too, and a frame split across two
+	// vectored segments is completed by the second.
+	sink.writes = nil
+	ic = New(sink, Hooks{})
+	joined := bytes.Join(frames, nil)
+	if _, err := ic.Write(joined); err != nil {
+		t.Fatal(err)
+	}
+	cut := len(frames[0]) + 5
+	if _, err := ic.WriteBuffers(net.Buffers{joined[:cut], joined[cut:]}); err != nil {
+		t.Fatal(err)
+	}
+	if len(sink.writes) != 2 || !bytes.Equal(sink.writes[0], joined) || !bytes.Equal(sink.writes[1], joined) {
+		t.Fatalf("multi-frame Write / split segments: %d transport writes", len(sink.writes))
+	}
+}
+
+// TestSwapFromWriteHookSplitsBatch: frames accepted before a hook swaps the
+// transport leave on the old one (flushed before it is closed); the frame
+// whose hook swapped, and the rest of the burst, leave on the new one.
+func TestSwapFromWriteHookSplitsBatch(t *testing.T) {
+	oldT, newT := &sinkConn{}, &sinkConn{}
+	ic := New(oldT, Hooks{
+		OnWriteFrame: func(c *Conn, f giop.Frame) ([]byte, error) {
+			if id, _ := giop.ReplyIDOf(f.Header.Order, f.Body()); id == 4 {
+				if oldT.closed {
+					t.Error("old transport closed before the hook swapped")
+				}
+				c.SwapUnder(newT)
+			}
+			return f.Raw, nil
+		},
+	})
+	v, frames := burst(6)
+	if _, err := ic.WriteBuffers(v); err != nil {
+		t.Fatal(err)
+	}
+	if len(oldT.writes) != 1 || !bytes.Equal(oldT.writes[0], bytes.Join(frames[:3], nil)) {
+		t.Fatalf("old transport got %d writes, want one carrying frames 1-3", len(oldT.writes))
+	}
+	if !oldT.closed {
+		t.Fatal("old transport left open after the swap")
+	}
+	if len(newT.writes) != 1 || !bytes.Equal(newT.writes[0], bytes.Join(frames[3:], nil)) {
+		t.Fatalf("new transport got %d writes, want one carrying frames 4-6", len(newT.writes))
+	}
+}
+
+// TestWriteErrorResendsBatchOnce: when the transport dies under a burst, the
+// OnWriteError repair retransmits the whole batch — every frame, once — on
+// the new transport; a second failure is not retried.
+func TestWriteErrorResendsBatchOnce(t *testing.T) {
+	dead, fresh := &sinkConn{failNext: 1}, &sinkConn{}
+	var repairs int
+	ic := New(dead, Hooks{
+		OnWriteError: func(c *Conn, err error) bool {
+			repairs++
+			c.SwapUnder(fresh)
+			return true
+		},
+	})
+	v, frames := burst(5)
+	if _, err := ic.WriteBuffers(v); err != nil {
+		t.Fatalf("recovered burst: %v", err)
+	}
+	if repairs != 1 || len(dead.writes) != 0 {
+		t.Fatalf("repairs = %d, writes on the dead transport = %d", repairs, len(dead.writes))
+	}
+	if len(fresh.writes) != 1 || !bytes.Equal(fresh.writes[0], bytes.Join(frames, nil)) {
+		t.Fatalf("new transport got %d writes, want the whole batch once", len(fresh.writes))
+	}
+
+	fresh.failNext = 2
+	if _, err := ic.WriteBuffers(v); err == nil {
+		t.Fatal("a batch that failed twice reported success")
+	}
+	if repairs != 2 {
+		t.Fatalf("repairs = %d after the second failure, want 2 (one per batch)", repairs)
+	}
+}
+
+// TestReadDrainsBufferedFrames: one Read filters every whole frame the
+// transport has already delivered, not one frame per call; a hook failure met
+// behind deliverable bytes surfaces on the Read after them.
+func TestReadDrainsBufferedFrames(t *testing.T) {
+	cEnd, sEnd := tcpPair(t)
+	hookErr := errors.New("reject")
+	ic := New(cEnd, Hooks{
+		OnReadFrame: func(c *Conn, f giop.Frame) ([]byte, error) {
+			if f.Kind == giop.FrameMEAD {
+				return nil, nil
+			}
+			if id, _ := giop.ReplyIDOf(f.Header.Order, f.Body()); id == 9 {
+				return nil, hookErr
+			}
+			return f.Raw, nil
+		},
+	})
+	_, frames := burst(3)
+	wire := bytes.Join([][]byte{
+		frames[0], giop.EncodeMead(giop.MeadNotice, []byte{1}), frames[1], frames[2], replyFrame(9),
+	}, nil)
+	if _, err := sEnd.Write(wire); err != nil {
+		t.Fatal(err)
+	}
+	// The first Read returns once frame 1 is in; by the second, loopback has
+	// delivered the rest of the single write.
+	want := bytes.Join(frames, nil)
+	got := make([]byte, 0, len(want))
+	buf := make([]byte, 4096)
+	reads := 0
+	for len(got) < len(want) {
+		n, err := ic.Read(buf)
+		if err != nil {
+			t.Fatalf("read %d: %v", reads, err)
+		}
+		got = append(got, buf[:n]...)
+		reads++
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("drained frames differ from the three GIOP frames sent")
+	}
+	if reads > 2 {
+		t.Fatalf("three buffered frames took %d Reads, want at most 2", reads)
+	}
+	if _, err := ic.Read(buf); !errors.Is(err, hookErr) {
+		t.Fatalf("err = %v, want the hook error after the good frames", err)
+	}
+}
+
+// TestPassThroughFramesDoNotAllocate: in steady state a pass-through frame
+// costs no allocation in either direction.
+func TestPassThroughFramesDoNotAllocate(t *testing.T) {
+	cEnd, sEnd := tcpPair(t)
+	pass := func(c *Conn, f giop.Frame) ([]byte, error) { return f.Raw, nil }
+	ic := New(cEnd, Hooks{OnReadFrame: pass, OnWriteFrame: pass})
+	frame := requestFrame(1, "op")
+	v := net.Buffers{frame}
+	got := make([]byte, len(frame))
+
+	go func() { _, _ = io.Copy(io.Discard, sEnd) }()
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := ic.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ic.WriteBuffers(v); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("outbound pass-through frames cost %.1f allocs per Write+WriteBuffers, want 0", n)
+	}
+
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := sEnd.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(ic, got); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("inbound pass-through frames cost %.1f allocs per frame, want 0", n)
+	}
+}

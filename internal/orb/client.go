@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"net"
+	"strconv"
 	"sync"
 	"time"
 
@@ -144,17 +145,34 @@ type ObjectRef struct {
 	orb *ClientORB
 
 	mu     sync.Mutex
-	ior    giop.IOR
-	addr   string // cached ior.Addr() of the live conn, for telemetry labels
+	tgt    target
 	conn   net.Conn
 	rd     *bufio.Reader // buffers reads from conn
 	nextID uint32
 	stats  Stats
 }
 
+// target is an IOR with the endpoint and object key of its IIOP profile
+// decoded once, when the reference is bound to it, rather than on every
+// invocation.
+type target struct {
+	ior  giop.IOR
+	addr string // "host:port"; empty when the IOR has no usable IIOP profile
+	key  []byte
+}
+
+func resolveTarget(ior giop.IOR) target {
+	t := target{ior: ior}
+	if prof, err := ior.IIOP(); err == nil {
+		t.addr = net.JoinHostPort(prof.Host, strconv.Itoa(int(prof.Port)))
+		t.key = prof.ObjectKey
+	}
+	return t
+}
+
 // Object materializes a reference from an IOR.
 func (c *ClientORB) Object(ior giop.IOR) *ObjectRef {
-	return &ObjectRef{orb: c, nextID: 1, ior: ior}
+	return &ObjectRef{orb: c, nextID: 1, tgt: resolveTarget(ior)}
 }
 
 // IOR returns the reference's current IOR (it changes when the ORB follows
@@ -162,7 +180,7 @@ func (c *ClientORB) Object(ior giop.IOR) *ObjectRef {
 func (o *ObjectRef) IOR() giop.IOR {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return o.ior
+	return o.tgt.ior
 }
 
 // Stats returns a snapshot of the reference's recovery counters.
@@ -178,7 +196,7 @@ func (o *ObjectRef) Redirect(ior giop.IOR) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.dropConnLocked()
-	o.ior = ior
+	o.tgt = resolveTarget(ior)
 }
 
 // Close releases the reference's connection.
@@ -204,8 +222,8 @@ func (o *ObjectRef) connectLocked() error {
 	if o.conn != nil {
 		return nil
 	}
-	addr, err := o.ior.Addr()
-	if err != nil {
+	addr := o.tgt.addr
+	if addr == "" {
 		return giop.Transient(1, giop.CompletedNo)
 	}
 	conn, err := o.orb.dial("tcp", addr, o.orb.dialTimeout)
@@ -216,7 +234,6 @@ func (o *ObjectRef) connectLocked() error {
 		conn = o.orb.wrap(conn)
 	}
 	o.conn = conn
-	o.addr = addr
 	o.rd = bufio.NewReaderSize(conn, connReadBufSize)
 	o.orb.tel.ConnOpened(addr)
 	return nil
@@ -238,16 +255,12 @@ func (o *ObjectRef) Invoke(op string, writeArgs func(*cdr.Encoder), readResult f
 		if err := o.connectLocked(); err != nil {
 			return err
 		}
-		prof, err := o.ior.IIOP()
-		if err != nil {
-			return fmt.Errorf("orb: reference has no IIOP profile: %w", err)
-		}
 		reqID := o.nextID
 		o.nextID++
 		msg := giop.EncodeRequest(o.orb.order, giop.RequestHeader{
 			RequestID:        reqID,
 			ResponseExpected: true,
-			ObjectKey:        prof.ObjectKey,
+			ObjectKey:        o.tgt.key,
 			Operation:        op,
 		}, writeArgs)
 		sentAt := time.Now()
@@ -255,7 +268,7 @@ func (o *ObjectRef) Invoke(op string, writeArgs func(*cdr.Encoder), readResult f
 			o.dropConnLocked()
 			return giop.CommFailure(10, giop.CompletedMaybe)
 		}
-		o.orb.tel.RequestSent(o.addr)
+		o.orb.tel.RequestSent(o.tgt.addr)
 
 		// The reply header and the decoder d borrow mb; settleReply below
 		// takes both over and releases them.
@@ -278,18 +291,15 @@ func (o *ObjectRef) Invoke(op string, writeArgs func(*cdr.Encoder), readResult f
 			// retransmits the client request to the new replica without
 			// notifying the client application."
 			o.dropConnLocked()
-			o.ior = fwd
+			o.tgt = resolveTarget(fwd)
 			o.stats.Forwards++
-			if tel := o.orb.tel; tel != nil {
-				a, _ := fwd.Addr()
-				tel.ForwardTaken(a)
-			}
+			o.orb.tel.ForwardTaken(o.tgt.addr)
 		case replyRetransmit:
 			// "...causes the client-side ORB to retransmit its last request
 			// over the new connection." The interceptor has already swapped
 			// the underlying transport; we simply resend.
 			o.stats.Retransmissions++
-			o.orb.tel.Retransmitted(o.addr)
+			o.orb.tel.Retransmitted(o.tgt.addr)
 		}
 	}
 	o.dropConnLocked()
@@ -360,16 +370,12 @@ func (o *ObjectRef) InvokeOneWay(op string, writeArgs func(*cdr.Encoder)) error 
 	if err := o.connectLocked(); err != nil {
 		return err
 	}
-	prof, err := o.ior.IIOP()
-	if err != nil {
-		return fmt.Errorf("orb: reference has no IIOP profile: %w", err)
-	}
 	reqID := o.nextID
 	o.nextID++
 	msg := giop.EncodeRequest(o.orb.order, giop.RequestHeader{
 		RequestID:        reqID,
 		ResponseExpected: false,
-		ObjectKey:        prof.ObjectKey,
+		ObjectKey:        o.tgt.key,
 		Operation:        op,
 	}, writeArgs)
 	if err := giop.WriteMessageFragmented(o.conn, msg, o.orb.maxBody); err != nil {
@@ -391,15 +397,11 @@ func (o *ObjectRef) Locate() (giop.LocateStatus, error) {
 	if err := o.connectLocked(); err != nil {
 		return 0, err
 	}
-	prof, err := o.ior.IIOP()
-	if err != nil {
-		return 0, fmt.Errorf("orb: reference has no IIOP profile: %w", err)
-	}
 	reqID := o.nextID
 	o.nextID++
 	msg := giop.EncodeLocateRequest(o.orb.order, giop.LocateRequestHeader{
 		RequestID: reqID,
-		ObjectKey: prof.ObjectKey,
+		ObjectKey: o.tgt.key,
 	})
 	if _, err := o.conn.Write(msg); err != nil {
 		o.dropConnLocked()
@@ -417,7 +419,7 @@ func (o *ObjectRef) Locate() (giop.LocateStatus, error) {
 	}
 	if fwd != nil {
 		o.dropConnLocked()
-		o.ior = *fwd
+		o.tgt = resolveTarget(*fwd)
 		o.stats.Forwards++
 	}
 	return status, nil

@@ -250,23 +250,14 @@ func (m *muxConn) deliver(id uint32, r muxReply) {
 	r.mb.Release()
 }
 
-// pooledTarget resolves ior to the object key to address and the shared
-// connection to its endpoint. A reference without a usable endpoint maps to
-// TRANSIENT, as on the private-connection path.
-func (o *ObjectRef) pooledTarget(ior giop.IOR) (*muxConn, []byte, error) {
-	addr, err := ior.Addr()
-	if err != nil {
-		return nil, nil, giop.Transient(1, giop.CompletedNo)
+// pooledConn returns the shared connection to t's endpoint. A reference
+// without a usable endpoint maps to TRANSIENT, as on the private-connection
+// path.
+func (o *ObjectRef) pooledConn(t target) (*muxConn, error) {
+	if t.addr == "" {
+		return nil, giop.Transient(1, giop.CompletedNo)
 	}
-	prof, err := ior.IIOP()
-	if err != nil {
-		return nil, nil, fmt.Errorf("orb: reference has no IIOP profile: %w", err)
-	}
-	mc, err := o.orb.pool.get(addr)
-	if err != nil {
-		return nil, nil, err
-	}
-	return mc, prof.ObjectKey, nil
+	return o.orb.pool.get(t.addr)
 }
 
 // invokePooled is Invoke over the shared multiplexed transport. It holds no
@@ -278,11 +269,11 @@ func (o *ObjectRef) pooledTarget(ior giop.IOR) (*muxConn, []byte, error) {
 func (o *ObjectRef) invokePooled(op string, writeArgs func(*cdr.Encoder), readResult func(*cdr.Decoder) error) error {
 	o.mu.Lock()
 	o.stats.Invocations++
-	ior := o.ior
+	tgt := o.tgt
 	o.mu.Unlock()
 
 	for attempt := 0; attempt <= o.orb.maxForwards; attempt++ {
-		mc, key, err := o.pooledTarget(ior)
+		mc, err := o.pooledConn(tgt)
 		if err != nil {
 			return err
 		}
@@ -292,7 +283,7 @@ func (o *ObjectRef) invokePooled(op string, writeArgs func(*cdr.Encoder), readRe
 			return giop.EncodeRequestPooled(o.orb.order, giop.RequestHeader{
 				RequestID:        reqID,
 				ResponseExpected: true,
-				ObjectKey:        key,
+				ObjectKey:        tgt.key,
 				Operation:        op,
 			}, writeArgs)
 		})
@@ -319,15 +310,12 @@ func (o *ObjectRef) invokePooled(op string, writeArgs func(*cdr.Encoder), readRe
 			// framed it correctly, so the shared stream is still in step.
 			return err
 		case replyForward:
-			ior = fwd
+			tgt = resolveTarget(fwd)
 			o.mu.Lock()
-			o.ior = fwd
+			o.tgt = tgt
 			o.stats.Forwards++
 			o.mu.Unlock()
-			if tel := o.orb.tel; tel != nil {
-				a, _ := fwd.Addr()
-				tel.ForwardTaken(a)
-			}
+			o.orb.tel.ForwardTaken(tgt.addr)
 		case replyRetransmit:
 			o.mu.Lock()
 			o.stats.Retransmissions++
@@ -342,10 +330,10 @@ func (o *ObjectRef) invokePooled(op string, writeArgs func(*cdr.Encoder), readRe
 func (o *ObjectRef) oneWayPooled(op string, writeArgs func(*cdr.Encoder)) error {
 	o.mu.Lock()
 	o.stats.Invocations++
-	ior := o.ior
+	tgt := o.tgt
 	o.mu.Unlock()
 
-	mc, key, err := o.pooledTarget(ior)
+	mc, err := o.pooledConn(tgt)
 	if err != nil {
 		return err
 	}
@@ -353,7 +341,7 @@ func (o *ObjectRef) oneWayPooled(op string, writeArgs func(*cdr.Encoder)) error 
 		return giop.EncodeRequestPooled(o.orb.order, giop.RequestHeader{
 			RequestID:        reqID,
 			ResponseExpected: false,
-			ObjectKey:        key,
+			ObjectKey:        tgt.key,
 			Operation:        op,
 		}, writeArgs)
 	})
@@ -363,17 +351,17 @@ func (o *ObjectRef) oneWayPooled(op string, writeArgs func(*cdr.Encoder)) error 
 // demultiplexed by request id exactly like Replies.
 func (o *ObjectRef) locatePooled() (giop.LocateStatus, error) {
 	o.mu.Lock()
-	ior := o.ior
+	tgt := o.tgt
 	o.mu.Unlock()
 
-	mc, key, err := o.pooledTarget(ior)
+	mc, err := o.pooledConn(tgt)
 	if err != nil {
 		return 0, err
 	}
 	hdr, mb, err := mc.roundTrip(func(reqID uint32) *cdr.Encoder {
 		return giop.EncodeLocateRequestPooled(o.orb.order, giop.LocateRequestHeader{
 			RequestID: reqID,
-			ObjectKey: key,
+			ObjectKey: tgt.key,
 		})
 	})
 	if err != nil {
@@ -385,7 +373,7 @@ func (o *ObjectRef) locatePooled() (giop.LocateStatus, error) {
 	}
 	if fwd != nil {
 		o.mu.Lock()
-		o.ior = *fwd
+		o.tgt = resolveTarget(*fwd)
 		o.stats.Forwards++
 		o.mu.Unlock()
 	}

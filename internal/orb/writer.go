@@ -13,10 +13,11 @@ import (
 // connWriter serializes concurrent message writes on one connection and
 // coalesces them. Each writer announces itself (pending) before taking the
 // lock; after queueing its frame segments, the last writer out flushes the
-// whole queue as ONE vectored write (net.Buffers → writev on TCP), so a
-// burst of concurrent frames leaves in a single syscall without ever being
-// copied into an intermediate coalescing buffer. Every frame on the wire is
-// still a standalone standard GIOP message.
+// whole queue as ONE vectored write (net.Buffers → writev on TCP, or the
+// interposed connection's own WriteBuffers), so a burst of concurrent frames
+// leaves in a single syscall without ever being copied into an intermediate
+// coalescing buffer. Every frame on the wire is still a standalone standard
+// GIOP message.
 //
 // Frames queue as segments that alias the pooled CDR encoders that built
 // them (writeEncoder): the writer owns each encoder from enqueue until its
@@ -97,6 +98,15 @@ func (w *connWriter) enqueue(owned *cdr.Encoder, segs ...[]byte) error {
 	return err
 }
 
+// buffersWriter is a connection that takes a whole flush in one call.
+// net.Buffers.WriteTo reaches writev only on the net package's own
+// connections and degrades to one Write per segment on anything layered over
+// them; the MEAD interceptor implements this instead, so a burst stays one
+// transport write under it too.
+type buffersWriter interface {
+	WriteBuffers(v net.Buffers) (int64, error)
+}
+
 // flushLocked sends every queued segment in one vectored write and releases
 // the encoders backing them.
 func (w *connWriter) flushLocked() error {
@@ -107,10 +117,16 @@ func (w *connWriter) flushLocked() error {
 	if len(w.bufs) == 0 {
 		return nil
 	}
-	// WriteTo via a copy of the slice header: consume() advances v and nils
-	// entries as they drain, while w.bufs keeps the backing array for reuse.
-	v := w.bufs
-	_, err := v.WriteTo(w.conn)
+	var err error
+	if bw, ok := w.conn.(buffersWriter); ok {
+		_, err = bw.WriteBuffers(w.bufs)
+	} else {
+		// WriteTo via a copy of the slice header: consume() advances v and
+		// nils entries as they drain, while w.bufs keeps the backing array
+		// for reuse.
+		v := w.bufs
+		_, err = v.WriteTo(w.conn)
+	}
 	w.releaseLocked()
 	if err != nil {
 		w.err = err

@@ -150,12 +150,21 @@ type Replica struct {
 	budget   *resource.Budget
 	injector *faultinject.Injector
 	reqLeak  *faultinject.RequestLeak
-	member   *gcs.Member
-	mgr      *ftmgr.Manager
-	srv      *orb.ServerORB
 	state    *clockState
+	addr     string // the ORB endpoint, kept past exit for trace attribution
 
-	store         *durable.Store
+	// The instance's connection, manager, ORB and store graphs. Start sets
+	// them and exit clears them once everything that runs on them has
+	// stopped, so an exited instance — a harness keeps those for their
+	// Done/ExitReason/Requests — pins no queues or buffers. The loops and
+	// servants, which exit waits for, read them directly; the accessors and
+	// maybeRejuvenate, which can run later, go through live().
+	liveMu sync.Mutex
+	member *gcs.Member
+	mgr    *ftmgr.Manager
+	srv    *orb.ServerORB
+	store  *durable.Store
+
 	clientIDs     *cdr.Interner
 	recoveryNonce uint64
 
@@ -189,11 +198,13 @@ func New(name string, cfg ServiceConfig) (*Replica, error) {
 func (r *Replica) Name() string { return r.name }
 
 // Addr returns the replica's ORB endpoint (after Start).
-func (r *Replica) Addr() string {
-	if r.srv == nil {
-		return ""
-	}
-	return r.srv.Addr()
+func (r *Replica) Addr() string { return r.addr }
+
+// live returns the manager and ORB, or nils once the instance has exited.
+func (r *Replica) live() (*ftmgr.Manager, *orb.ServerORB) {
+	r.liveMu.Lock()
+	defer r.liveMu.Unlock()
+	return r.mgr, r.srv
 }
 
 // Requests returns how many application requests this instance served.
@@ -218,8 +229,12 @@ func (r *Replica) OpNumber() uint64 {
 // Budget exposes the replica's resource budget (tests and examples).
 func (r *Replica) Budget() *resource.Budget { return r.budget }
 
-// Manager exposes the embedded fault-tolerance manager.
-func (r *Replica) Manager() *ftmgr.Manager { return r.mgr }
+// Manager exposes the embedded fault-tolerance manager (nil once the
+// instance has exited).
+func (r *Replica) Manager() *ftmgr.Manager {
+	mgr, _ := r.live()
+	return mgr
+}
 
 // Done is closed when the replica instance has terminated.
 func (r *Replica) Done() <-chan struct{} { return r.done }
@@ -347,6 +362,7 @@ func (r *Replica) Start() (err error) {
 	if err := r.srv.Start(); err != nil {
 		return err
 	}
+	r.addr = r.srv.Addr()
 	iors := make([]giop.IOR, 0, len(keys))
 	for _, key := range keys {
 		keyIOR, err := r.srv.IORFor(r.cfg.TypeID, key)
@@ -448,7 +464,8 @@ func (r *Replica) Stop() { r.exit(ExitStopped) }
 // and the last client connection has drained — the quiescence condition the
 // paper required before a faulty replica could be restarted safely.
 func (r *Replica) maybeRejuvenate() {
-	if r.mgr.Migrating() && r.srv.ActiveConnections() == 0 {
+	mgr, srv := r.live()
+	if mgr != nil && mgr.Migrating() && srv.ActiveConnections() == 0 {
 		r.logf("replica %s: quiescent after migration, rejuvenating", r.name)
 		r.exit(ExitRejuvenated)
 	}
@@ -474,6 +491,12 @@ func (r *Replica) exit(reason ExitReason) {
 			// recovery tests deterministic instead of racing the writer.
 			r.store.Close()
 		}
+		if r.state != nil {
+			r.state.detach()
+		}
+		r.liveMu.Lock()
+		r.member, r.mgr, r.srv, r.store = nil, nil, nil, nil
+		r.liveMu.Unlock()
 		close(r.done)
 	})
 }
@@ -671,6 +694,13 @@ type clockState struct {
 	store    *durable.Store // nil: in-memory only
 	replica  string
 	tel      *telemetry.Telemetry
+}
+
+// detach drops the store of an exited replica; the counters stay readable.
+func (s *clockState) detach() {
+	s.mu.Lock()
+	s.store = nil
+	s.mu.Unlock()
 }
 
 // exec runs one application operation under the at-most-once contract.
