@@ -33,12 +33,13 @@ test:
 
 ## wire-guards: the host-independent performance gates — transport writes per
 ## burst and per invocation under the replicated path, appends per log-file
-## write, and the zero-allocation guards. `make test` runs them too, but under
-## -race sync.Pool drops a quarter of its Puts, which hides an allocation
-## behind the slack the guards then need; here they run exact.
+## write, Dial calls inside a MEAD hand-off whose standby is ready (none), and
+## the zero-allocation guards. `make test` runs them too, but under -race
+## sync.Pool drops a quarter of its Puts, which hides an allocation behind the
+## slack the guards then need; here they run exact.
 wire-guards:
-	$(GO) test -count=1 -run 'OneWrite|ShareServerWrites|SplitsBatch|ResendsBatch|DoNotAllocate|GroupCommits|FlushesConcurrent' \
-		./internal/interceptor/ ./internal/orb/ ./internal/durable/
+	$(GO) test -count=1 -run 'OneWrite|ShareServerWrites|SplitsBatch|ResendsBatch|DoNotAllocate|GroupCommits|FlushesConcurrent|HandOffDialsNothing' \
+		./internal/interceptor/ ./internal/orb/ ./internal/durable/ ./internal/ftmgr/
 
 ## chaos-smoke: the deterministic network-chaos suite — the netfault
 ## injector's own tests plus the {scheme × fault-plan} conformance matrix

@@ -161,12 +161,12 @@ func TestManagerWithAdaptiveThreshold(t *testing.T) {
 	}
 	// Without a trend the preset 90% applies: 85% does not migrate.
 	b.Consume(850)
-	if m.checkThresholds() {
+	if m.PollThresholds() {
 		t.Fatal("migrated below preset threshold without trend")
 	}
 	// Past the preset it migrates regardless.
 	b.Consume(100)
-	if !m.checkThresholds() {
+	if !m.PollThresholds() {
 		t.Fatal("did not migrate past preset threshold")
 	}
 }

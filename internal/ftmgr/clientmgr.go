@@ -119,52 +119,193 @@ func (cm *ClientManager) WrapClientConn(conn net.Conn) net.Conn {
 	}
 }
 
-// meadHooks implement Section 4.3 at the client: filter MEAD fail-over
-// frames out of the reply stream, redirect the connection to the named
-// replica (dup2-equivalent swap), and pass the regular GIOP reply up to the
-// unmodified ORB.
-func (cm *ClientManager) meadHooks() interceptor.Hooks {
-	var (
-		pending       net.Conn
-		pendingTarget string
-		lastRequestID uint32
-		lastOrder     giop.Header
-		haveRequest   bool
-	)
-	// recover repairs the stream after a wire fault killed the connection:
-	// prefer the already-dialed migration target (the fail-over notice beat
-	// the fault), otherwise reconnect to the same replica — a wire-level
-	// fault, unlike a crash, leaves the primary alive and reachable. It
-	// reports the address the stream now points at.
-	recover := func(c *interceptor.Conn) (string, bool) {
-		if pending != nil {
-			c.SwapUnder(pending)
-			target := pendingTarget
-			pending = nil
-			cm.cfg.Telemetry.ConnSwapped(target)
-			cm.noteFailover(target)
-			return target, true
+// meadConn is the MEAD scheme's state for one client connection: what the
+// hooks below hold between frames. The transports in it are shared between
+// the hooks' goroutines, the standby's dial and Close, hence the mutex; the
+// request bookkeeping is the hooks' own.
+type meadConn struct {
+	cm *ClientManager
+
+	mu     sync.Mutex
+	closed bool
+	// standby is the connection being opened, or held open, to the replica
+	// the last NOTICE frame named; nil when there is none.
+	standby *standby
+	// pending is the fail-over target's transport from the FAILOVER frame
+	// until the reply behind it has been read, when it is swapped in.
+	pending       net.Conn
+	pendingTarget string
+
+	lastRequestID uint32
+	lastOrder     giop.Header
+	haveRequest   bool
+	// holding: the read hook put a transport in pending and has not yet
+	// looked for it behind a reply. It is the read hook's alone, so a reply
+	// with no hand-off in progress passes without taking mu.
+	holding bool
+}
+
+// standby is one warm-up dial. conn and abandoned are guarded by the owning
+// meadConn's mu; done is closed once the dial has returned and conn is set.
+type standby struct {
+	addr      string
+	done      chan struct{}
+	conn      net.Conn // nil until dialed, if the dial failed, and once taken
+	abandoned bool     // nobody will take conn: whoever holds it closes it
+}
+
+// warm starts opening a connection to addr off the reading goroutine, so
+// that a later FAILOVER frame naming addr finds it open. A standby for
+// another address is given up.
+func (mc *meadConn) warm(addr string) {
+	mc.mu.Lock()
+	if mc.closed || (mc.standby != nil && mc.standby.addr == addr) {
+		mc.mu.Unlock()
+		return
+	}
+	s := &standby{addr: addr, done: make(chan struct{})}
+	mc.abandonLocked(mc.standby)
+	mc.standby = s
+	mc.mu.Unlock()
+
+	go func() {
+		conn, err := mc.cm.cfg.Dial("tcp", addr, mc.cm.cfg.DialTimeout)
+		mc.mu.Lock()
+		ready := err == nil && !s.abandoned
+		if ready {
+			s.conn = conn
 		}
-		addr := c.Under().RemoteAddr()
-		if addr == nil {
-			return "", false
+		mc.mu.Unlock()
+		close(s.done)
+		switch {
+		case ready:
+			mc.cm.cfg.Telemetry.StandbyReady(addr)
+		case err == nil:
+			_ = conn.Close()
 		}
-		target := addr.String()
-		newConn, err := cm.cfg.Dial("tcp", target, cm.cfg.DialTimeout)
-		if err != nil {
-			return "", false
+	}()
+}
+
+// abandonLocked gives s up: its connection is closed now, or by its dial
+// when that returns. Callers hold mc.mu.
+func (mc *meadConn) abandonLocked(s *standby) {
+	if s == nil {
+		return
+	}
+	s.abandoned = true
+	if s.conn != nil {
+		_ = s.conn.Close()
+		s.conn = nil
+	}
+}
+
+// obtain is the one place the hand-off gets its transport to addr from: the
+// standby when one was warmed for addr, waiting for its dial if that is still
+// in flight, and otherwise — no standby, one for another address (given up
+// here), or one whose dial failed — the paper's own dial.
+func (mc *meadConn) obtain(addr string) (net.Conn, error) {
+	mc.mu.Lock()
+	s := mc.standby
+	mc.standby = nil
+	if s != nil && s.addr != addr {
+		mc.abandonLocked(s)
+		s = nil
+	}
+	mc.mu.Unlock()
+	if s != nil {
+		<-s.done
+		mc.mu.Lock()
+		conn := s.conn
+		s.conn = nil
+		mc.mu.Unlock()
+		if conn != nil {
+			return conn, nil
 		}
-		c.SwapUnder(newConn)
+	}
+	return mc.cm.cfg.Dial("tcp", addr, mc.cm.cfg.DialTimeout)
+}
+
+// hold keeps conn as the transport to swap in behind the next reply.
+func (mc *meadConn) hold(conn net.Conn, target string) {
+	mc.mu.Lock()
+	if mc.closed {
+		mc.mu.Unlock()
+		_ = conn.Close()
+		return
+	}
+	old := mc.pending
+	mc.pending, mc.pendingTarget = conn, target
+	mc.mu.Unlock()
+	if old != nil {
+		_ = old.Close()
+	}
+}
+
+// takePending hands over the held fail-over transport, if there is one.
+func (mc *meadConn) takePending() (net.Conn, string) {
+	mc.mu.Lock()
+	defer mc.mu.Unlock()
+	conn := mc.pending
+	mc.pending = nil
+	return conn, mc.pendingTarget
+}
+
+// release closes what was dialed for this connection and never swapped in;
+// the interceptor calls it when the connection is closed.
+func (mc *meadConn) release() {
+	mc.mu.Lock()
+	mc.closed = true
+	pending := mc.pending
+	mc.pending = nil
+	mc.abandonLocked(mc.standby)
+	mc.standby = nil
+	mc.mu.Unlock()
+	if pending != nil {
+		_ = pending.Close()
+	}
+}
+
+// repair mends the stream after a wire fault killed the connection:
+// prefer the already-dialed migration target (the fail-over notice beat
+// the fault), otherwise reconnect to the same replica — a wire-level
+// fault, unlike a crash, leaves the primary alive and reachable. It
+// reports the address the stream now points at.
+func (mc *meadConn) repair(c *interceptor.Conn) (string, bool) {
+	cm := mc.cm
+	if pending, target := mc.takePending(); pending != nil {
+		c.SwapUnder(pending)
 		cm.cfg.Telemetry.ConnSwapped(target)
+		cm.noteFailover(target)
 		return target, true
 	}
+	addr := c.Under().RemoteAddr()
+	if addr == nil {
+		return "", false
+	}
+	target := addr.String()
+	newConn, err := cm.cfg.Dial("tcp", target, cm.cfg.DialTimeout)
+	if err != nil {
+		return "", false
+	}
+	c.SwapUnder(newConn)
+	cm.cfg.Telemetry.ConnSwapped(target)
+	return target, true
+}
+
+// meadHooks implement Section 4.3 at the client: filter MEAD frames out of
+// the reply stream, redirect the connection to the replica a fail-over frame
+// names (dup2-equivalent swap), and pass the regular GIOP reply up to the
+// unmodified ORB. A notice frame ahead of it lets the connection to that
+// replica be opened before the hand-off instead of inside it.
+func (cm *ClientManager) meadHooks() interceptor.Hooks {
+	mc := &meadConn{cm: cm}
 	return interceptor.Hooks{
 		OnWriteFrame: func(c *interceptor.Conn, f giop.Frame) ([]byte, error) {
 			if f.Kind == giop.FrameGIOP && f.Header.Type == giop.MsgRequest {
 				if id, err := giop.RequestIDOf(f.Header.Order, f.Body()); err == nil {
-					lastRequestID = id
-					lastOrder = f.Header
-					haveRequest = true
+					mc.lastRequestID = id
+					mc.lastOrder = f.Header
+					mc.haveRequest = true
 				}
 			}
 			return f.Raw, nil
@@ -172,32 +313,38 @@ func (cm *ClientManager) meadHooks() interceptor.Hooks {
 		OnReadFrame: func(c *interceptor.Conn, f giop.Frame) ([]byte, error) {
 			switch f.Kind {
 			case giop.FrameMEAD:
-				if f.Mead.Type != giop.MeadFailover {
+				if f.Mead.Type != giop.MeadFailover && f.Mead.Type != giop.MeadNotice {
 					return nil, nil // consume unknown MEAD frames silently
 				}
 				addr, _, err := giop.DecodeMeadFailover(f.Mead.Payload)
 				if err != nil {
 					return nil, nil
 				}
-				newConn, err := cm.cfg.Dial("tcp", addr, cm.cfg.DialTimeout)
+				if f.Mead.Type == giop.MeadNotice {
+					mc.warm(addr)
+					return nil, nil
+				}
+				newConn, err := mc.obtain(addr)
 				if err != nil {
 					// Migration target unreachable: ignore the notice and
 					// keep using the (still live) failing replica.
 					return nil, nil
 				}
-				pending = newConn
-				pendingTarget = addr
+				mc.hold(newConn, addr)
+				mc.holding = true
 				cm.cfg.Telemetry.FailoverReceived(addr)
 				return nil, nil
 			case giop.FrameGIOP:
-				if f.Header.Type == giop.MsgReply && pending != nil {
-					// The failing replica's final reply is fully buffered;
-					// repoint the stream before handing the reply up, so
-					// the next request already flows to the new replica.
-					c.SwapUnder(pending)
-					pending = nil
-					cm.cfg.Telemetry.ConnSwapped(pendingTarget)
-					cm.noteFailover(pendingTarget)
+				if f.Header.Type == giop.MsgReply && mc.holding {
+					mc.holding = false
+					if pending, target := mc.takePending(); pending != nil {
+						// The failing replica's final reply is fully buffered;
+						// repoint the stream before handing the reply up, so
+						// the next request already flows to the new replica.
+						c.SwapUnder(pending)
+						cm.cfg.Telemetry.ConnSwapped(target)
+						cm.noteFailover(target)
+					}
 				}
 				return f.Raw, nil
 			default:
@@ -209,14 +356,14 @@ func (cm *ClientManager) meadHooks() interceptor.Hooks {
 			// wire fault rather than the managed migration. Repair the
 			// transport and fabricate NEEDS_ADDRESSING so the unmodified
 			// ORB retransmits the in-flight request.
-			if !haveRequest {
+			if !mc.haveRequest {
 				return nil, false
 			}
-			if _, ok := recover(c); !ok {
+			if _, ok := mc.repair(c); !ok {
 				return nil, false
 			}
-			fabricated := giop.EncodeReply(lastOrder.Order, giop.ReplyHeader{
-				RequestID: lastRequestID,
+			fabricated := giop.EncodeReply(mc.lastOrder.Order, giop.ReplyHeader{
+				RequestID: mc.lastRequestID,
 				Status:    giop.ReplyNeedsAddressingMode,
 			}, nil)
 			return fabricated, true
@@ -225,12 +372,13 @@ func (cm *ClientManager) meadHooks() interceptor.Hooks {
 			// The request frame itself failed to leave: repair and let the
 			// interceptor rewrite the frame on the fresh transport. The ORB
 			// never sees this resend, so the retransmit is recorded here.
-			target, ok := recover(c)
+			target, ok := mc.repair(c)
 			if ok {
 				cm.cfg.Telemetry.Retransmitted(target)
 			}
 			return ok
 		},
+		OnClose: func(*interceptor.Conn) { mc.release() },
 	}
 }
 

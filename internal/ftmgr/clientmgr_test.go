@@ -1,6 +1,7 @@
 package ftmgr
 
 import (
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -99,10 +100,9 @@ func okReply(id uint32) []byte {
 		func(e *cdr.Encoder) { e.WriteLongLong(12345) })
 }
 
-// doInvoke writes one request through conn and reads the reply, mimicking
+// roundTrip writes one request through conn and reads the reply, mimicking
 // the ORB's use of the intercepted connection.
-func doInvoke(t *testing.T, conn net.Conn, id uint32) giop.ReplyHeader {
-	t.Helper()
+func roundTrip(conn net.Conn, id uint32) (giop.ReplyHeader, error) {
 	req := giop.EncodeRequest(cdr.BigEndian, giop.RequestHeader{
 		RequestID:        id,
 		ResponseExpected: true,
@@ -110,13 +110,19 @@ func doInvoke(t *testing.T, conn net.Conn, id uint32) giop.ReplyHeader {
 		Operation:        "time_of_day",
 	}, nil)
 	if _, err := conn.Write(req); err != nil {
-		t.Fatalf("write request %d: %v", id, err)
+		return giop.ReplyHeader{}, fmt.Errorf("write request %d: %w", id, err)
 	}
 	h, body, err := giop.ReadMessage(conn)
 	if err != nil {
-		t.Fatalf("read reply %d: %v", id, err)
+		return giop.ReplyHeader{}, fmt.Errorf("read reply %d: %w", id, err)
 	}
 	rh, _, err := giop.DecodeReply(h.Order, body)
+	return rh, err
+}
+
+func doInvoke(t *testing.T, conn net.Conn, id uint32) giop.ReplyHeader {
+	t.Helper()
+	rh, err := roundTrip(conn, id)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -356,10 +356,29 @@ func (m *Manager) Migrations() int {
 	return m.migrations
 }
 
+// handoffLocked reads what one reply on connection st owes the client:
+// whether clients are being migrated (T2 crossed) and, between the two
+// thresholds on a MEAD connection, the replica a NOTICE on this reply should
+// name — once per connection, and again whenever a view change moves the
+// target off the address it was last told. st.noticed is guarded by m.mu for
+// that reason. Callers hold m.mu.
+func (m *Manager) handoffLocked(st *connState) (migrate bool, warm *Announce) {
+	if st == nil || !m.noticeSent || m.migrating || m.cfg.Scheme != MeadMessage {
+		return m.migrating, nil
+	}
+	if next, ok := m.nextReplicaLocked(); ok && next.Addr != st.noticed {
+		st.noticed = next.Addr
+		target := next // the copy escapes, on this branch only
+		warm = &target
+	}
+	return false, warm
+}
+
 // checkThresholds runs the event-driven two-step threshold scheme. It is
 // called from the interceptor's write path ("proactive recovery needs to be
-// triggered only when there are active client connections at the server").
-func (m *Manager) checkThresholds() (migrate bool) {
+// triggered only when there are active client connections at the server")
+// with the connection whose reply is passing; a poller passes nil.
+func (m *Manager) checkThresholds(st *connState) (migrate bool, warm *Announce) {
 	usage := m.cfg.Monitor.Fraction()
 	migrateAt := m.cfg.MigrateThreshold
 	launchAt := m.cfg.LaunchThreshold
@@ -383,7 +402,7 @@ func (m *Manager) checkThresholds() (migrate bool) {
 		m.migrating = true
 		fireMigrate = true
 	}
-	migrate = m.migrating
+	migrate, warm = m.handoffLocked(st)
 	m.mu.Unlock()
 
 	if sendNotice || fireMigrate {
@@ -400,7 +419,7 @@ func (m *Manager) checkThresholds() (migrate bool) {
 	if fireMigrate && m.cfg.OnMigrate != nil {
 		m.cfg.OnMigrate()
 	}
-	return migrate
+	return migrate, warm
 }
 
 // PollThresholds runs one threshold check from an external (timer-driven)
@@ -409,7 +428,8 @@ func (m *Manager) PollThresholds() bool {
 	if !m.cfg.Scheme.Proactive() {
 		return false
 	}
-	return m.checkThresholds()
+	migrate, _ := m.checkThresholds(nil)
+	return migrate
 }
 
 // noteRequest handles read-side bookkeeping shared by all schemes.
@@ -439,6 +459,10 @@ const maxTrackedRequests = 1024
 type connState struct {
 	mu          sync.Mutex
 	outstanding []trackedRequest // a handful at most: scanned, not indexed
+
+	// noticed is the address the last MEAD NOTICE on this connection named;
+	// guarded by Manager.mu (see handoffLocked).
+	noticed string
 }
 
 type trackedRequest struct {
@@ -523,13 +547,21 @@ func (m *Manager) WrapServerConn(conn net.Conn) net.Conn {
 			if f.Header.Fragmented {
 				return f.Raw, nil
 			}
-			migrate := false
+			var (
+				migrate bool
+				warm    *Announce
+			)
 			if m.cfg.TimerDriven {
 				// Ablation mode: a poller goroutine runs the checks; the
 				// write path only consumes the decision.
-				migrate = m.Migrating()
+				m.mu.Lock()
+				migrate, warm = m.handoffLocked(st)
+				m.mu.Unlock()
 			} else {
-				migrate = m.checkThresholds()
+				migrate, warm = m.checkThresholds(st)
+			}
+			if warm != nil {
+				return prepend(giop.EncodeMeadNotice(warm.Addr, firstIOR(*warm)), f.Raw), nil
 			}
 			if !migrate {
 				return f.Raw, nil
@@ -576,16 +608,25 @@ func (m *Manager) piggybackMead(f giop.Frame) ([]byte, error) {
 	if !ok {
 		return f.Raw, nil
 	}
-	var ior giop.IOR
-	if len(next.IORs) > 0 {
-		ior = next.IORs[0]
-	}
 	m.mu.Lock()
 	m.migrations++
 	m.mu.Unlock()
-	mead := giop.EncodeMeadFailover(next.Addr, ior)
-	out := make([]byte, 0, len(mead)+len(f.Raw))
+	return prepend(giop.EncodeMeadFailover(next.Addr, firstIOR(next)), f.Raw), nil
+}
+
+// firstIOR is the object reference a MEAD frame carries beside a replica's
+// address.
+func firstIOR(a Announce) giop.IOR {
+	if len(a.IORs) > 0 {
+		return a.IORs[0]
+	}
+	return giop.IOR{}
+}
+
+// prepend returns mead followed by reply in one buffer, so that both leave
+// in the same transport write.
+func prepend(mead, reply []byte) []byte {
+	out := make([]byte, 0, len(mead)+len(reply))
 	out = append(out, mead...)
-	out = append(out, f.Raw...)
-	return out, nil
+	return append(out, reply...)
 }

@@ -210,14 +210,14 @@ func TestThresholdNoticeFiresOnce(t *testing.T) {
 		}
 	}
 
-	if node.m.checkThresholds() {
+	if node.m.PollThresholds() {
 		t.Fatal("migrating below thresholds")
 	}
 	b.Consume(850) // 85% > launch, < migrate
-	if node.m.checkThresholds() {
+	if node.m.PollThresholds() {
 		t.Fatal("migrating below migrate threshold")
 	}
-	_ = node.m.checkThresholds() // second crossing: no duplicate notice
+	_ = node.m.PollThresholds() // second crossing: no duplicate notice
 
 	var notices atomic.Int32
 	done := make(chan struct{})
@@ -263,10 +263,10 @@ func TestMigrateThresholdFiresCallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Consume(950)
-	if !m.checkThresholds() {
+	if !m.PollThresholds() {
 		t.Fatal("not migrating at 95%")
 	}
-	_ = m.checkThresholds()
+	_ = m.PollThresholds()
 	if migrated.Load() != 1 {
 		t.Fatalf("OnMigrate fired %d times", migrated.Load())
 	}
@@ -355,7 +355,7 @@ func TestCheckThresholdsCountsFromWritePath(t *testing.T) {
 	_ = n2.m.AnnounceSelf("a2", []giop.IOR{giop.NewIOR("IDL:t:1.0", "127.0.0.1", 2, key)})
 	waitFor(t, "membership", func() bool { return len(n1.m.Replicas()) == 2 })
 
-	n1.m.checkThresholds()
+	n1.m.PollThresholds()
 	orig := giop.EncodeReply(cdr.BigEndian, giop.ReplyHeader{RequestID: 77, Status: giop.ReplyNoException}, nil)
 	frame := giop.Frame{Kind: giop.FrameGIOP, Header: giop.Header{Major: 1, Order: cdr.BigEndian, Type: giop.MsgReply, Size: uint32(len(orig) - giop.HeaderLen)}, Raw: orig}
 	out, err := n1.m.rewriteLocationForward(frame, trackedRequest{id: 77, keyHash: giop.Hash16(key)})

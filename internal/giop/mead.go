@@ -34,8 +34,10 @@ const (
 	// MeadFailover carries the address of the next available replica; the
 	// client interceptor redirects its connection there.
 	MeadFailover MeadType = 1
-	// MeadNotice carries an advisory proactive fault notification (used
-	// for diagnostics; the GCS carries the authoritative notifications).
+	// MeadNotice names, ahead of time, the replica a later MeadFailover will
+	// most likely direct the client to, so that the client interceptor can
+	// open that connection before the hand-off needs it. It is advisory: a
+	// client may ignore it, and only MeadFailover moves a connection.
 	MeadNotice MeadType = 2
 )
 
@@ -84,14 +86,24 @@ func ParseMeadHeader(b []byte) (MeadType, uint32, error) {
 // EncodeMeadFailover builds the MEAD fail-over frame directing clients to
 // the replica serving ior at addr ("host:port").
 func EncodeMeadFailover(addr string, ior IOR) []byte {
+	return encodeMeadTarget(MeadFailover, addr, ior)
+}
+
+// EncodeMeadNotice builds the MEAD notice frame naming the replica serving
+// ior at addr as the likely fail-over target; its payload is MeadFailover's.
+func EncodeMeadNotice(addr string, ior IOR) []byte {
+	return encodeMeadTarget(MeadNotice, addr, ior)
+}
+
+func encodeMeadTarget(t MeadType, addr string, ior IOR) []byte {
 	e := cdr.NewEncoder(cdr.BigEndian)
 	e.WriteString(addr)
 	EncodeIOR(e, ior)
-	return EncodeMead(MeadFailover, e.Bytes())
+	return EncodeMead(t, e.Bytes())
 }
 
 // DecodeMeadFailover extracts the target address and IOR from a MeadFailover
-// payload.
+// (or MeadNotice) payload.
 func DecodeMeadFailover(payload []byte) (addr string, ior IOR, err error) {
 	d := cdr.NewDecoder(payload, cdr.BigEndian)
 	if addr, err = d.ReadString(); err != nil {

@@ -42,23 +42,29 @@ func TestParseMeadHeaderErrors(t *testing.T) {
 
 func TestMeadFailoverRoundTrip(t *testing.T) {
 	ior := NewIOR("IDL:mead/TimeOfDay:1.0", "127.0.0.1", 7001, MakeObjectKey("timeofday", "clock"))
-	frame := EncodeMeadFailover("127.0.0.1:7001", ior)
-	f, err := ReadFrame(bytes.NewReader(frame))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Kind != FrameMEAD || f.Mead.Type != MeadFailover {
-		t.Fatalf("frame = %+v", f)
-	}
-	addr, gotIOR, err := DecodeMeadFailover(f.Mead.Payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if addr != "127.0.0.1:7001" {
-		t.Fatalf("addr = %q", addr)
-	}
-	if gotIOR.TypeID != ior.TypeID {
-		t.Fatalf("ior type = %q", gotIOR.TypeID)
+	// A notice carries the fail-over frame's payload under its own type.
+	for _, tc := range []struct {
+		typ    MeadType
+		encode func(string, IOR) []byte
+	}{{MeadFailover, EncodeMeadFailover}, {MeadNotice, EncodeMeadNotice}} {
+		frame := tc.encode("127.0.0.1:7001", ior)
+		f, err := ReadFrame(bytes.NewReader(frame))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Kind != FrameMEAD || f.Mead.Type != tc.typ {
+			t.Fatalf("frame = %+v", f)
+		}
+		addr, gotIOR, err := DecodeMeadFailover(f.Mead.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if addr != "127.0.0.1:7001" {
+			t.Fatalf("addr = %q", addr)
+		}
+		if gotIOR.TypeID != ior.TypeID {
+			t.Fatalf("ior type = %q", gotIOR.TypeID)
+		}
 	}
 }
 

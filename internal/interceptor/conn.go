@@ -39,8 +39,8 @@ import (
 	"mead/internal/giop"
 )
 
-// Hooks are the interception points. All hooks run on the goroutine calling
-// Read/Write; they may call SwapUnder.
+// Hooks are the interception points. All hooks but OnClose run on the
+// goroutine calling Read/Write; they may call SwapUnder.
 type Hooks struct {
 	// OnReadFrame observes each whole inbound frame (GIOP or MEAD) and
 	// returns the bytes to surface to the ORB: f.Raw to pass it through,
@@ -72,6 +72,13 @@ type Hooks struct {
 	// the whole batch is rewritten once on the new transport; false
 	// propagates the error to the ORB.
 	OnWriteError func(c *Conn, err error) (resume bool)
+	// OnClose runs once, on the goroutine of the first Close, after the Conn
+	// is marked closed and before its transport is: the place to release
+	// whatever the other hooks hold for this connection and have not swapped
+	// in (a dialed replacement transport, say). It may run while another
+	// hook is in progress on the Read or Write goroutine; a SwapUnder that
+	// hook makes afterwards closes the transport it is given.
+	OnClose func(c *Conn)
 }
 
 // ErrIntercepted reports a hook-initiated failure.
@@ -174,9 +181,13 @@ func (c *Conn) SwapUnder(newConn net.Conn) {
 // Close closes the current underlying transport.
 func (c *Conn) Close() error {
 	c.underMu.Lock()
+	first := !c.closed
 	c.closed = true
 	under := c.under
 	c.underMu.Unlock()
+	if first && c.hooks.OnClose != nil {
+		c.hooks.OnClose(c)
+	}
 	if under == nil {
 		return nil
 	}

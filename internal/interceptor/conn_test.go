@@ -490,6 +490,31 @@ func TestSwapUnderRacesClose(t *testing.T) {
 	}
 }
 
+// TestOnCloseRunsOnceBeforeTransportCloses: the close notification fires on
+// the first Close only, with the Conn already refusing swaps (a transport a
+// hook hands over afterwards is closed, not adopted) and the current
+// transport still open.
+func TestOnCloseRunsOnceBeforeTransportCloses(t *testing.T) {
+	under, late := &sinkConn{}, &sinkConn{}
+	calls := 0
+	ic := New(under, Hooks{OnClose: func(c *Conn) {
+		calls++
+		if under.closed {
+			t.Error("transport closed before OnClose ran")
+		}
+		c.SwapUnder(late)
+	}})
+	_ = ic.Close()
+	_ = ic.Close()
+	if calls != 1 {
+		t.Fatalf("OnClose ran %d times, want 1", calls)
+	}
+	if !under.closed || !late.closed || ic.Under() != net.Conn(under) {
+		t.Fatalf("after Close: transport closed = %v, late swap closed = %v, late swap adopted = %v",
+			under.closed, late.closed, ic.Under() != net.Conn(under))
+	}
+}
+
 // TestWriteErrorRecoveryPreservesPiggyback: when the transport dies under a
 // piggybacked MEAD+GIOP write, the OnWriteError repair must retransmit the
 // whole rewritten output — both frames, in order — on the new transport.

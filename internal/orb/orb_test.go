@@ -405,9 +405,19 @@ func TestConnClosedHook(t *testing.T) {
 		lastActive.Store(int64(active))
 		closed <- struct{}{}
 	}))
+	// A connection nobody speaks on is not active: it stays open throughout
+	// and the count still reaches zero.
+	idle, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
 	o := objectFor(t, s)
 	if _, err := invokeTime(o); err != nil {
 		t.Fatal(err)
+	}
+	if got := s.ActiveConnections(); got != 1 {
+		t.Fatalf("active connections = %d with one idle and one used, want 1", got)
 	}
 	_ = o.Close()
 	select {

@@ -108,9 +108,9 @@ func WithServerTelemetry(t *telemetry.Telemetry) ServerOption {
 }
 
 // WithConnClosedHook registers a callback invoked (with the remaining
-// active-connection count) whenever a client connection closes. The
-// proactive fault-tolerance manager uses it to detect quiescence before
-// rejuvenating a faulty replica.
+// active-connection count, see ActiveConnections) whenever a client
+// connection closes. The proactive fault-tolerance manager uses it to detect
+// quiescence before rejuvenating a faulty replica.
 func WithConnClosedHook(hook func(active int)) ServerOption {
 	return serverOptionFunc(func(s *ServerORB) { s.onConnClosed = hook })
 }
@@ -131,6 +131,7 @@ type ServerORB struct {
 	mu       sync.Mutex
 	servants map[string]Servant
 	conns    map[net.Conn]struct{}
+	active   int // connections in conns that have carried a message
 	closed   bool
 }
 
@@ -202,11 +203,14 @@ func (s *ServerORB) Start() error {
 // retransmissions), and equality proves exactly-once for the run.
 func (s *ServerORB) Served() uint64 { return s.served.Load() }
 
-// ActiveConnections returns the number of live client connections.
+// ActiveConnections returns the number of live connections that have carried
+// at least one message. A connection a client opened ahead of need and has
+// not spoken on — the MEAD scheme's standby — has nobody waiting on it, so it
+// does not keep a migrating replica from counting as quiescent.
 func (s *ServerORB) ActiveConnections() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.conns)
+	return s.active
 }
 
 // Crash abruptly terminates the ORB: the listener and every live connection
@@ -275,11 +279,15 @@ func (s *ServerORB) acceptLoop() {
 }
 
 func (s *ServerORB) serveConn(conn net.Conn) {
+	spoke := false
 	defer func() {
 		_ = conn.Close()
 		s.mu.Lock()
 		delete(s.conns, conn)
-		active := len(s.conns)
+		if spoke {
+			s.active--
+		}
+		active := s.active
 		hook := s.onConnClosed
 		s.mu.Unlock()
 		if hook != nil {
@@ -301,6 +309,12 @@ func (s *ServerORB) serveConn(conn net.Conn) {
 		h, mb, err := giop.ReadMessagePooled(rd)
 		if err != nil {
 			return
+		}
+		if !spoke {
+			spoke = true
+			s.mu.Lock()
+			s.active++
+			s.mu.Unlock()
 		}
 		switch h.Type {
 		case giop.MsgRequest:

@@ -461,8 +461,10 @@ func (r *Replica) Crash() { r.exit(ExitCrashed) }
 func (r *Replica) Stop() { r.exit(ExitStopped) }
 
 // maybeRejuvenate gracefully restarts the replica once migration has begun
-// and the last client connection has drained — the quiescence condition the
-// paper required before a faulty replica could be restarted safely.
+// and the last connection that carried a request has drained — the quiescence
+// condition the paper required before a faulty replica could be restarted
+// safely. A connection nobody has spoken on (orb.ActiveConnections) does not
+// hold it back.
 func (r *Replica) maybeRejuvenate() {
 	mgr, srv := r.live()
 	if mgr != nil && mgr.Migrating() && srv.ActiveConnections() == 0 {

@@ -1,6 +1,7 @@
 package replica_test
 
 import (
+	"net"
 	"testing"
 	"time"
 
@@ -272,6 +273,48 @@ func TestMeadMessageMasksMigration(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("faulty replica never rejuvenated")
+	}
+}
+
+// TestIdleConnectionDoesNotPinMigratingReplica: a connection that was opened
+// to a replica and never carried a request — a MEAD client's standby whose
+// owner was handed elsewhere, say — has nobody waiting on it. When r2 crosses
+// T2 and its one real client has migrated away, r2 is quiescent and
+// rejuvenates; counting the idle socket would hold it until the leak crashes
+// it.
+func TestIdleConnectionDoesNotPinMigratingReplica(t *testing.T) {
+	c := startCluster(t, ftmgr.MeadMessage, 3, nil)
+	idle, err := net.Dial("tcp", c.reps[1].Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
+
+	s := c.client(ftmgr.MeadMessage)
+	if out := s.Invoke(); out.Err != nil || out.Replica != "r1" {
+		t.Fatalf("first outcome = %+v", out)
+	}
+	// Hand the client from r1 to r2. Its connection to r2 is dialed, and so
+	// accepted, after the idle one: once r2 answers, r2 holds both.
+	c.reps[0].Budget().Consume(c.reps[0].Budget().Capacity())
+	if out := s.Invoke(); out.Err != nil || !out.Failover {
+		t.Fatalf("hand-off from r1 = %+v", out)
+	}
+	if out := s.Invoke(); out.Err != nil || out.Replica != "r2" {
+		t.Fatalf("outcome after the hand-off = %+v", out)
+	}
+	// Now r2 hands its real client to r3 and must rejuvenate.
+	c.reps[1].Budget().Consume(c.reps[1].Budget().Capacity())
+	if out := s.Invoke(); out.Err != nil || !out.Failover || len(out.Exceptions) != 0 {
+		t.Fatalf("hand-off from r2 = %+v", out)
+	}
+	select {
+	case <-c.reps[1].Done():
+		if c.reps[1].ExitReason() != replica.ExitRejuvenated {
+			t.Fatalf("exit reason = %v, want rejuvenated", c.reps[1].ExitReason())
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("r2 never rejuvenated: the idle connection pinned it")
 	}
 }
 

@@ -41,6 +41,7 @@ var counterDescs = []counterDesc{
 	{"mead_conns_opened_total", "Client transports dialed.", func(t *Telemetry) *Counter { return &t.ConnsOpened }},
 	{"mead_conn_swaps_total", "Interceptor transport swaps beneath the ORB.", func(t *Telemetry) *Counter { return &t.ConnSwaps }},
 	{"mead_mead_failovers_total", "MEAD fail-over frames consumed by the client interceptor.", func(t *Telemetry) *Counter { return &t.MeadFailovers }},
+	{"mead_standbys_ready_total", "Connections the client interceptor warmed ahead of a MEAD hand-off.", func(t *Telemetry) *Counter { return &t.StandbysReady }},
 	{"mead_server_requests_total", "Requests dispatched by the server ORB.", func(t *Telemetry) *Counter { return &t.ServerRequests }},
 	{"mead_threshold_crossings_total", "Resource thresholds crossed by replicas.", func(t *Telemetry) *Counter { return &t.ThresholdCrossings }},
 	{"mead_replicas_killed_total", "Replica departures observed by the recovery manager.", func(t *Telemetry) *Counter { return &t.ReplicasKilled }},

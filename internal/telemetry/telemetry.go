@@ -33,6 +33,7 @@ type Telemetry struct {
 	ConnsOpened      Counter // client transports dialed
 	ConnSwaps        Counter // interceptor transport swaps (dup2-equivalent)
 	MeadFailovers    Counter // MEAD fail-over frames consumed
+	StandbysReady    Counter // connections warmed ahead of a MEAD hand-off
 
 	// Server / framework activity.
 	ServerRequests     Counter // requests dispatched by the server ORB
@@ -190,6 +191,16 @@ func (t *Telemetry) FailoverReceived(addr string) {
 	}
 	t.MeadFailovers.Inc()
 	t.event(EvMeadFailover, "", addr, 0)
+}
+
+// StandbyReady records the interceptor holding an open connection to addr,
+// the target a MEAD notice frame named, ahead of the hand-off.
+func (t *Telemetry) StandbyReady(addr string) {
+	if t == nil {
+		return
+	}
+	t.StandbysReady.Inc()
+	t.event(EvStandbyReady, "", addr, 0)
 }
 
 // ConnSwapped records the interceptor swapping the transport under the ORB

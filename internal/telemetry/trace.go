@@ -50,6 +50,9 @@ const (
 	// EvStateFetched: the recovery handshake merged a newer snapshot from
 	// a live group member (Value holds the merged op number).
 	EvStateFetched
+	// EvStandbyReady: the client interceptor finished opening, ahead of
+	// the hand-off, the connection a MEAD notice frame told it to warm.
+	EvStandbyReady
 )
 
 var eventKindNames = [...]string{
@@ -65,6 +68,7 @@ var eventKindNames = [...]string{
 	EvRecoveryStarted:  "recovery-started",
 	EvLogReplayed:      "log-replayed",
 	EvStateFetched:     "state-fetched",
+	EvStandbyReady:     "standby-ready",
 }
 
 func (k EventKind) String() string {
