@@ -32,14 +32,18 @@ test:
 	$(GO) test -race ./...
 
 ## wire-guards: the host-independent performance gates — transport writes per
-## burst and per invocation under the replicated path, appends per log-file
-## write, Dial calls inside a MEAD hand-off whose standby is ready (none), and
-## the zero-allocation guards. `make test` runs them too, but under -race
-## sync.Pool drops a quarter of its Puts, which hides an allocation behind the
-## slack the guards then need; here they run exact.
+## burst and per invocation under the replicated path, transport writes and
+## reads per control-plane frame (GCS hub and member, naming call), the hub
+## sequencer staying off the sockets, appends per log-file write, Dial calls
+## inside a MEAD hand-off whose standby is ready (none), wire bytes identical
+## to the recorded parent-side streams, and the zero-allocation guards. `make
+## test` runs them too, but under -race sync.Pool drops a quarter of its Puts,
+## which hides an allocation behind the slack the guards then need; here they
+## run exact.
 wire-guards:
-	$(GO) test -count=1 -run 'OneWrite|ShareServerWrites|SplitsBatch|ResendsBatch|DoNotAllocate|GroupCommits|FlushesConcurrent|HandOffDialsNothing' \
-		./internal/interceptor/ ./internal/orb/ ./internal/durable/ ./internal/ftmgr/
+	$(GO) test -count=1 -run 'OneWrite|ShareServerWrites|SplitsBatch|ResendsBatch|DoNotAllocate|DispatchAllocatesNothing|GroupCommits|FlushesConcurrent|HandOffDialsNothing|SequencerNeverCloses|SlowConsumer|WireBytesMatchParent|ReaderDrains' \
+		./internal/interceptor/ ./internal/orb/ ./internal/durable/ ./internal/ftmgr/ \
+		./internal/gcs/ ./internal/namesvc/ ./internal/frame/
 
 ## chaos-smoke: the deterministic network-chaos suite — the netfault
 ## injector's own tests plus the {scheme × fault-plan} conformance matrix
@@ -109,7 +113,8 @@ bench-compare:
 	$(GO) run ./scripts/benchcompare BENCH_$(BENCH_ID).json "$$tmp"
 
 ## fuzz-smoke: a short burst over each fuzz target (decode paths and the CDR
-## string reader) to keep them healthy; CI-friendly at ~30s total.
+## string reader, the control-plane frame reader) to keep them healthy;
+## CI-friendly at under a minute.
 fuzz-smoke:
 	$(GO) test ./internal/giop/ -run '^$$' -fuzz FuzzDecodeRequest -fuzztime 8s
 	$(GO) test ./internal/giop/ -run '^$$' -fuzz FuzzDecodeReply -fuzztime 8s
@@ -117,3 +122,4 @@ fuzz-smoke:
 	$(GO) test ./internal/cdr/ -run '^$$' -fuzz FuzzDecoderStream -fuzztime 8s
 	$(GO) test ./internal/durable/ -run '^$$' -fuzz FuzzLogRecordDecode -fuzztime 8s
 	$(GO) test ./internal/durable/ -run '^$$' -fuzz FuzzCheckpointDecode -fuzztime 8s
+	$(GO) test ./internal/frame/ -run '^$$' -fuzz FuzzReader -fuzztime 8s

@@ -58,6 +58,21 @@ func invokeN(t *testing.T, d *Deployment, n int) {
 	}
 }
 
+// waitFiredOnce waits for the named durable fault to have fired exactly
+// once. The log is written behind the reply by up to 1 ms (docs/PROTOCOL.md
+// §11), so the append the fault is keyed on may not have reached the writer
+// when the last invocation returns.
+func waitFiredOnce(t *testing.T, d *Deployment, name string) {
+	t.Helper()
+	deadline := time.Now().Add(time.Second)
+	for d.DurableChaos().Fired(name) == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if fired := d.DurableChaos().Fired(name); fired != 1 {
+		t.Fatalf("durable fault %q fired %d times, want 1", name, fired)
+	}
+}
+
 // liveReplicas filters the deployment's instances down to the running ones.
 func liveReplicas(d *Deployment) []*replica.Replica {
 	var out []*replica.Replica
@@ -273,9 +288,7 @@ func TestDisasterTornTail(t *testing.T) {
 
 	d1 := bootDisaster(t, sc)
 	invokeN(t, d1, 30)
-	if fired := d1.DurableChaos().Fired("torn"); fired != 1 {
-		t.Fatalf("torn-write fired %d times, want 1", fired)
-	}
+	waitFiredOnce(t, d1, "torn")
 	d1.Close()
 
 	d2 := bootDisaster(t, disasterScenario(dir))
@@ -305,9 +318,7 @@ func TestDisasterCorruptRecord(t *testing.T) {
 
 	d1 := bootDisaster(t, sc)
 	invokeN(t, d1, 30)
-	if fired := d1.DurableChaos().Fired("rot"); fired != 1 {
-		t.Fatalf("corrupt-write fired %d times, want 1", fired)
-	}
+	waitFiredOnce(t, d1, "rot")
 	d1.Close()
 
 	d2 := bootDisaster(t, disasterScenario(dir))

@@ -7,7 +7,6 @@
 package experiment
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -245,6 +244,12 @@ type Deployment struct {
 
 // NewDeployment boots the scenario's system without driving a workload.
 func NewDeployment(sc Scenario) (*Deployment, error) {
+	return newDeployment(sc)
+}
+
+// newDeployment is NewDeployment with extra hub options, the seam through
+// which tests reach the hub's accepted connections.
+func newDeployment(sc Scenario, extraHubOpts ...gcs.HubOption) (*Deployment, error) {
 	sc = sc.withDefaults()
 	d := &Deployment{
 		sc:  sc,
@@ -275,7 +280,7 @@ func NewDeployment(sc Scenario) (*Deployment, error) {
 	if sc.GCSJitter > 0 {
 		hubOpts = append(hubOpts, gcs.WithDeliveryJitter(sc.GCSJitter, sc.Seed))
 	}
-	d.hub = gcs.NewHub(hubOpts...)
+	d.hub = gcs.NewHub(append(hubOpts, extraHubOpts...)...)
 	if err := d.hub.Start("127.0.0.1:0"); err != nil {
 		return nil, err
 	}
@@ -315,11 +320,6 @@ func NewDeployment(sc Scenario) (*Deployment, error) {
 			return nil, err
 		}
 	}
-	if err := d.waitMembership(sc.Replicas); err != nil {
-		d.Close()
-		return nil, err
-	}
-
 	rmMember, err := gcs.Dial(d.hub.Addr(), "recovery-manager")
 	if err != nil {
 		d.Close()
@@ -380,8 +380,11 @@ func (d *Deployment) CrashNode(node string) []string {
 	return names
 }
 
-// launch starts a (possibly replacement) replica instance; it is also the
-// Recovery Manager's factory.
+// launch starts a (possibly replacement) replica instance and returns once
+// the hub has sequenced its join, so that the order replicas are launched in
+// is the order of the view and of the naming service's listing (Start
+// returns with the join frame written, not sequenced: a later replica could
+// overtake it). It is also the Recovery Manager's factory.
 func (d *Deployment) launch(name string) error {
 	cfg := d.svcCfg
 	d.mu.Lock()
@@ -398,18 +401,30 @@ func (d *Deployment) launch(name string) error {
 	d.mu.Lock()
 	d.replicas = append(d.replicas, r)
 	d.mu.Unlock()
-	return nil
+	return d.waitJoined(r)
 }
 
-func (d *Deployment) waitMembership(n int) error {
+// waitJoined polls the hub until r is a member of the service group. A
+// replica that has already exited counts as joined: it was, and its views
+// tell the Recovery Manager what to do next.
+func (d *Deployment) waitJoined(r *replica.Replica) error {
 	deadline := time.Now().Add(10 * time.Second)
-	for len(d.hub.Members(d.svcCfg.Group())) < n {
-		if time.Now().After(deadline) {
-			return errors.New("experiment: replicas never formed the group")
+	for {
+		for _, m := range d.hub.Members(d.svcCfg.Group()) {
+			if m == r.Name() {
+				return nil
+			}
 		}
-		time.Sleep(time.Millisecond)
+		select {
+		case <-r.Done():
+			return nil
+		default:
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("experiment: replica %s never joined the group", r.Name())
+		}
+		time.Sleep(100 * time.Microsecond)
 	}
-	return nil
 }
 
 // Close tears the deployment down.

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"mead/internal/cdr"
+	"mead/internal/frame"
 	"mead/internal/telemetry"
 )
 
@@ -46,19 +47,30 @@ type hubGroup struct {
 	members []string // join order; index 0 is the oldest member
 }
 
+// hubConn is one member's connection. The sequencer only ever queues frames
+// on it and stops it; socket work belongs to the connection's own two
+// goroutines: the reader closes the connection when its stream ends, the
+// writer when a write fails or the sequencer has stopped it.
 type hubConn struct {
-	name string
-	conn net.Conn
-	out  chan outFrame
-	quit chan struct{}
+	name    string
+	conn    net.Conn
+	rd      *frame.Reader
+	tel     *telemetry.Telemetry // nil-safe
+	out     chan outFrame
+	quit    chan struct{}
+	stopped bool // quit is closed; sequencer goroutine only
 }
 
-// outFrame is a queued delivery with its earliest send time (due is zero
-// when no artificial latency is configured).
+// outFrame is a queued complete frame (length prefix included, shared with
+// the other recipients, never written to) with its earliest send time (due
+// is zero when no artificial latency is configured).
 type outFrame struct {
 	frame []byte
 	due   time.Time
 }
+
+// maxBatch bounds the bytes writeLoop coalesces into one transport write.
+const maxBatch = 64 << 10
 
 // HubOption configures a Hub.
 type HubOption interface{ applyHub(*Hub) }
@@ -230,13 +242,14 @@ func (h *Hub) acceptLoop() {
 // handshake reads the member's hello, registers it, then runs its read loop.
 func (h *Hub) handshake(conn net.Conn) {
 	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	frame, err := readFrame(conn)
+	rd := frame.NewReader(conn)
+	hello, err := rd.Next()
 	if err != nil {
 		_ = conn.Close()
 		return
 	}
 	_ = conn.SetReadDeadline(time.Time{})
-	d := cdr.NewDecoder(frame, cdr.BigEndian)
+	d := cdr.NewDecoder(hello, cdr.BigEndian)
 	op, err := d.ReadOctet()
 	if err != nil || op != opHello {
 		_ = conn.Close()
@@ -251,6 +264,10 @@ func (h *Hub) handshake(conn net.Conn) {
 	hc := &hubConn{
 		name: name,
 		conn: conn,
+		rd:   rd,
+		tel:  h.tel,
+		// 1024 frames is the backlog a member may fall behind by before the
+		// hub calls it a slow consumer and drops it (see enqueue).
 		out:  make(chan outFrame, 1024),
 		quit: make(chan struct{}),
 	}
@@ -263,7 +280,9 @@ func (h *Hub) handshake(conn net.Conn) {
 	}
 	if _, dup := h.conns[name]; dup {
 		h.mu.Unlock()
-		_ = writeFrame(conn, encodeDenied("duplicate member name "+name))
+		if denied, err := encodeDenied("duplicate member name " + name); err == nil {
+			_, _ = conn.Write(denied)
+		}
 		_ = conn.Close()
 		return
 	}
@@ -278,41 +297,97 @@ func (h *Hub) handshake(conn net.Conn) {
 	h.readLoop(hc)
 }
 
+// writeLoop is the member's writer: it sends everything queued and due in
+// one transport write. A lone frame goes out straight from the shared
+// buffer; several are copied into a batch buffer this loop owns. It closes
+// the connection when it exits.
 func (hc *hubConn) writeLoop() {
+	defer hc.conn.Close()
+	var (
+		batch []byte
+		head  outFrame // dequeued, not yet written
+		held  bool     // head was dequeued by the previous drain, before it was due
+	)
 	for {
-		select {
-		case of := <-hc.out:
-			if !of.due.IsZero() {
-				if wait := time.Until(of.due); wait > 0 {
-					timer := time.NewTimer(wait)
-					select {
-					case <-timer.C:
-					case <-hc.quit:
-						timer.Stop()
-						return
-					}
-				}
-			}
-			if err := writeFrame(hc.conn, of.frame); err != nil {
-				_ = hc.conn.Close()
+		if !held {
+			select {
+			case head = <-hc.out:
+			case <-hc.quit:
 				return
 			}
-		case <-hc.quit:
+		}
+		held = false
+		if wait := untilDue(head.due); wait > 0 {
+			timer := time.NewTimer(wait)
+			select {
+			case <-timer.C:
+			case <-hc.quit:
+				timer.Stop()
+				return
+			}
+		}
+		out, frames := head.frame, 1
+	drain:
+		for len(out) < maxBatch {
+			select {
+			case head = <-hc.out:
+			default:
+				break drain
+			}
+			if untilDue(head.due) > 0 {
+				held = true
+				break
+			}
+			if frames == 1 {
+				batch = append(batch[:0], out...)
+			}
+			batch = append(batch, head.frame...)
+			out, frames = batch, frames+1
+		}
+		if _, err := hc.conn.Write(out); err != nil {
 			return
+		}
+		hc.tel.GroupWrite(frames)
+		if cap(batch) > maxBatch*2 {
+			batch = nil
 		}
 	}
 }
 
-// enqueue queues a frame for the member; a full queue marks the member as a
-// slow consumer and drops the connection rather than stalling the hub.
-func (hc *hubConn) enqueue(frame []byte, due time.Time) bool {
+// untilDue returns how long a queued frame still has to wait.
+func untilDue(due time.Time) time.Duration {
+	if due.IsZero() {
+		return 0
+	}
+	return time.Until(due)
+}
+
+// enqueue queues a frame for the member. A full queue marks the member as a
+// slow consumer: the hub drops it rather than stall the group, and leaves
+// the close to the member's writer (see stop).
+func (hc *hubConn) enqueue(frame []byte, due time.Time) {
 	select {
 	case hc.out <- outFrame{frame: frame, due: due}:
-		return true
 	default:
-		_ = hc.conn.Close()
-		return false
+		if !hc.stopped {
+			hc.tel.SlowConsumerDrop()
+			hc.stop()
+		}
 	}
+}
+
+// stop ends the member's writer, which closes the connection on its way
+// out; that in turn ends the reader, whose evGone removes the member. The
+// sequencer itself never closes a socket: a writer parked in its select
+// sees quit, and one blocked in a write towards a member that stopped
+// reading is released by the expired write deadline.
+func (hc *hubConn) stop() {
+	if hc.stopped {
+		return
+	}
+	hc.stopped = true
+	close(hc.quit)
+	_ = hc.conn.SetWriteDeadline(time.Now())
 }
 
 // dueTime stamps a delivery with the configured latency.
@@ -330,20 +405,18 @@ func (h *Hub) dueTime() time.Time {
 }
 
 func (h *Hub) readLoop(hc *hubConn) {
-	defer func() {
-		h.post(hubEvent{kind: evGone, hc: hc})
-	}()
-	// One reusable frame buffer serves the whole loop: the posted events
-	// carry only copies (ReadString/ReadOctets) of the frame's fields.
-	var buf []byte
+	// The reader closes its own connection, after posting evGone so that a
+	// close that blocks cannot hold back the view the others are waiting for.
+	defer hc.conn.Close()
+	defer h.post(hubEvent{kind: evGone, hc: hc})
+	// The posted events carry only copies (ReadString/ReadOctets) of the
+	// frame's fields; the frame itself dies at the next rd.Next.
 	for {
-		var frame []byte
-		var err error
-		frame, buf, err = readFrameInto(hc.conn, buf)
+		raw, err := hc.rd.Next()
 		if err != nil {
 			return
 		}
-		d := cdr.NewDecoder(frame, cdr.BigEndian)
+		d := cdr.NewDecoder(raw, cdr.BigEndian)
 		op, err := d.ReadOctet()
 		if err != nil {
 			return
@@ -373,7 +446,7 @@ func (h *Hub) readLoop(hc *hubConn) {
 			ev.kind = evMcast
 			ev.group = group
 			ev.payload = payload
-			h.addTraffic(group, frameLen(len(frame)))
+			h.addTraffic(group, uint64(frame.PrefixLen+len(raw)))
 		case opSend:
 			target, err := d.ReadString()
 			if err != nil {
@@ -426,8 +499,7 @@ func (h *Hub) run() {
 			h.conns = make(map[string]*hubConn)
 			h.mu.Unlock()
 			for _, hc := range conns {
-				close(hc.quit)
-				_ = hc.conn.Close()
+				hc.stop()
 			}
 			return
 		}
@@ -451,14 +523,20 @@ func (h *Hub) handle(ev hubEvent) {
 	case evLeave:
 		h.removeFromGroup(ev.group, ev.hc.name)
 	case evMcast:
-		h.deliver(ev.group, ev.hc.name, ev.payload)
+		h.deliver(ev.group, ev.hc, ev.payload)
 	case evSend:
 		h.mu.Lock()
 		target := h.conns[ev.target]
 		h.mu.Unlock()
-		if target != nil {
-			target.enqueue(encodePrivate(ev.hc.name, ev.payload), h.dueTime())
+		if target == nil {
+			return
 		}
+		private, err := encodePrivate(ev.hc.name, ev.payload)
+		if err != nil {
+			ev.hc.stop() // a payload no frame can carry: the sender broke the protocol
+			return
+		}
+		target.enqueue(private, h.dueTime())
 	case evGone:
 		h.mu.Lock()
 		if h.conns[ev.hc.name] == ev.hc {
@@ -471,8 +549,7 @@ func (h *Hub) handle(ev hubEvent) {
 			}
 		}
 		h.mu.Unlock()
-		close(ev.hc.quit)
-		_ = ev.hc.conn.Close()
+		ev.hc.stop()
 		for _, group := range groups {
 			h.removeFromGroup(group, ev.hc.name)
 		}
@@ -500,22 +577,27 @@ func (h *Hub) removeFromGroup(group, member string) {
 // deliver fans a data message out to every current member of the group, in
 // a single critical section so the sequence number and recipient set are
 // consistent (total order).
-func (h *Hub) deliver(group, sender string, payload []byte) {
+func (h *Hub) deliver(group string, sender *hubConn, payload []byte) {
 	h.mu.Lock()
 	g := h.groups[group]
 	if g == nil {
 		h.mu.Unlock()
 		return
 	}
+	delivery, err := encodeDeliver(group, g.seq+1, sender.name, payload)
+	if err != nil {
+		h.mu.Unlock()
+		sender.stop() // a payload no frame can carry: the sender broke the protocol
+		return
+	}
 	g.seq++
-	frame := encodeDeliver(group, g.seq, sender, payload)
 	recipients := h.lookupConns(g.members)
-	h.traffic[group] += frameLen(len(frame)) * uint64(len(recipients))
+	h.traffic[group] += uint64(len(delivery)) * uint64(len(recipients))
 	due := h.dueTime()
 	h.mu.Unlock()
 	h.tel.Multicast()
 	for _, hc := range recipients {
-		hc.enqueue(frame, due)
+		hc.enqueue(delivery, due)
 	}
 }
 
@@ -529,14 +611,18 @@ func (h *Hub) emitView(group string, g *hubGroup) {
 	g.viewID++
 	members := make([]string, len(g.members))
 	copy(members, g.members)
-	frame := encodeView(group, g.viewID, g.seq, members)
+	view, err := encodeView(group, g.viewID, g.seq, members)
+	if err != nil {
+		h.mu.Unlock()
+		return // member names too long for any frame to list them
+	}
 	recipients := h.lookupConns(members)
-	h.traffic[group] += frameLen(len(frame)) * uint64(len(recipients))
+	h.traffic[group] += uint64(len(view)) * uint64(len(recipients))
 	due := h.dueTime()
 	h.mu.Unlock()
 	h.tel.ViewChange()
 	for _, hc := range recipients {
-		hc.enqueue(frame, due)
+		hc.enqueue(view, due)
 	}
 }
 

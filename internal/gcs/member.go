@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"mead/internal/cdr"
+	"mead/internal/frame"
 )
 
 // DeliveryKind distinguishes the event types a member receives.
@@ -69,6 +70,7 @@ type Member struct {
 	deliveries chan Delivery
 
 	writeMu sync.Mutex
+	enc     *cdr.Encoder // the outgoing frame, built and written under writeMu
 	mu      sync.Mutex
 	closed  bool
 	quit    chan struct{}
@@ -101,10 +103,11 @@ func DialWith(dial DialFunc, addr, name string) (*Member, error) {
 		// under rejuvenation dials a member every few tens of milliseconds,
 		// so the queue is sized to be cheap, not to be the backlog.
 		deliveries: make(chan Delivery, 64),
+		enc:        cdr.NewEncoder(cdr.BigEndian),
 		quit:       make(chan struct{}),
 		done:       make(chan struct{}),
 	}
-	if err := writeFrame(conn, encodeHello(name)); err != nil {
+	if err := m.send(opHello, name, nil); err != nil {
 		_ = conn.Close()
 		return nil, err
 	}
@@ -124,26 +127,28 @@ func (m *Member) Done() <-chan struct{} { return m.done }
 
 // Join subscribes the member to a group; the hub responds with a View.
 func (m *Member) Join(group string) error {
-	return m.send(encodeGroupOp(opJoin, group))
+	return m.send(opJoin, group, nil)
 }
 
 // Leave unsubscribes the member from a group.
 func (m *Member) Leave(group string) error {
-	return m.send(encodeGroupOp(opLeave, group))
+	return m.send(opLeave, group, nil)
 }
 
 // Multicast sends payload to all current members of group, in total order.
 // Spread-style open-group semantics: the sender need not be a member.
 func (m *Member) Multicast(group string, payload []byte) error {
-	return m.send(encodeMcast(group, payload))
+	return m.send(opMcast, group, payload)
 }
 
 // Send delivers payload to one member's private name.
 func (m *Member) Send(target string, payload []byte) error {
-	return m.send(encodeSend(target, payload))
+	return m.send(opSend, target, payload)
 }
 
-func (m *Member) send(frame []byte) error {
+// send builds one frame in the member's own encoder and writes it, length
+// prefix and payload, in a single transport write.
+func (m *Member) send(op byte, name string, payload []byte) error {
 	m.mu.Lock()
 	closed := m.closed
 	m.mu.Unlock()
@@ -152,7 +157,12 @@ func (m *Member) send(frame []byte) error {
 	}
 	m.writeMu.Lock()
 	defer m.writeMu.Unlock()
-	if err := writeFrame(m.conn, frame); err != nil {
+	putOp(m.enc, op, name, payload)
+	err := frame.Write(m.conn, m.enc)
+	if cap(m.enc.Bytes()) > maxBatch {
+		m.enc = cdr.NewEncoder(cdr.BigEndian) // one large checkpoint must not pin its buffer
+	}
+	if err != nil {
 		return fmt.Errorf("gcs: member %s send: %w", m.name, err)
 	}
 	return nil
@@ -184,17 +194,15 @@ func (m *Member) readLoop() {
 		close(m.deliveries)
 		close(m.done)
 	}()
-	// One reusable frame buffer serves the whole loop: every Delivery field
-	// below is copied out of the frame by the CDR reads.
-	var buf []byte
+	// Every Delivery field below is copied out of the frame by the CDR
+	// reads; the frame itself dies at the next rd.Next.
+	rd := frame.NewReader(m.conn)
 	for {
-		var frame []byte
-		var err error
-		frame, buf, err = readFrameInto(m.conn, buf)
+		payload, err := rd.Next()
 		if err != nil {
 			return
 		}
-		d := cdr.NewDecoder(frame, cdr.BigEndian)
+		d := cdr.NewDecoder(payload, cdr.BigEndian)
 		op, err := d.ReadOctet()
 		if err != nil {
 			return

@@ -131,6 +131,10 @@ func TestPropertyViewsMonotonic(t *testing.T) {
 	if err := watcher.Join("g"); err != nil {
 		t.Fatal(err)
 	}
+	// The watcher must be in the group before the churn starts: joins are
+	// sequenced in the order the hub's readers post them, not the order
+	// they were written in, and views ahead of its own join never reach it.
+	first := nextOfKind(t, watcher, DeliverView)
 	// Generate churn: members joining and leaving.
 	for i := 0; i < 6; i++ {
 		m := dial(t, h, fmt.Sprintf("churn%d", i))
@@ -141,8 +145,7 @@ func TestPropertyViewsMonotonic(t *testing.T) {
 			_ = m.Leave("g")
 		}
 	}
-	var last uint64
-	views := 0
+	last, views := first.View.ID, 1
 	timeout := time.After(5 * time.Second)
 	for views < 8 { // 1 own join + 6 joins + >=1 leave
 		select {

@@ -12,8 +12,6 @@
 package gcs
 
 import (
-	"io"
-
 	"mead/internal/cdr"
 	"mead/internal/frame"
 )
@@ -35,67 +33,41 @@ const (
 	opDenied  byte = 13
 )
 
-// writeFrame writes one length-prefixed frame.
-func writeFrame(w io.Writer, payload []byte) error { return frame.Write(w, payload) }
-
-// readFrame reads one length-prefixed frame.
-func readFrame(r io.Reader) ([]byte, error) { return frame.Read(r) }
-
-// readFrameInto reads one length-prefixed frame, recycling buf. The payload
-// aliases the returned buffer; receive loops that copy every field out of
-// the frame (as the decoders below do) use it to avoid a per-message
-// allocation.
-func readFrameInto(r io.Reader, buf []byte) (payload, next []byte, err error) {
-	return frame.ReadInto(r, buf)
-}
-
-// frameLen returns the on-wire size of a frame with the given payload
-// length (used for bandwidth accounting).
-func frameLen(payloadLen int) uint64 { return frame.WireLen(payloadLen) }
-
-func encodeHello(name string) []byte {
-	e := cdr.NewEncoder(cdr.BigEndian)
-	e.WriteOctet(opHello)
-	e.WriteString(name)
-	return e.Bytes()
-}
-
-func encodeGroupOp(op byte, group string) []byte {
-	e := cdr.NewEncoder(cdr.BigEndian)
+// putOp renders one member-to-hub frame into e, the encoder the member's
+// connection owns: the opcode, the member, group or target name and, for the
+// two data opcodes, the payload.
+func putOp(e *cdr.Encoder, op byte, name string, payload []byte) {
+	e.Reset(cdr.BigEndian)
+	frame.Begin(e)
 	e.WriteOctet(op)
-	e.WriteString(group)
-	return e.Bytes()
+	e.WriteString(name)
+	if op == opMcast || op == opSend {
+		e.WriteOctets(payload)
+	}
 }
 
-func encodeMcast(group string, payload []byte) []byte {
+// The hub-to-member encoders below return a complete frame, length prefix
+// included, in a buffer of its own: the hub queues one such frame to every
+// recipient and nobody writes to it afterwards.
+
+func beginFrame(op byte) *cdr.Encoder {
 	e := cdr.NewEncoder(cdr.BigEndian)
-	e.WriteOctet(opMcast)
-	e.WriteString(group)
-	e.WriteOctets(payload)
-	return e.Bytes()
+	frame.Begin(e)
+	e.WriteOctet(op)
+	return e
 }
 
-func encodeSend(target string, payload []byte) []byte {
-	e := cdr.NewEncoder(cdr.BigEndian)
-	e.WriteOctet(opSend)
-	e.WriteString(target)
-	e.WriteOctets(payload)
-	return e.Bytes()
-}
-
-func encodeDeliver(group string, seq uint64, sender string, payload []byte) []byte {
-	e := cdr.NewEncoder(cdr.BigEndian)
-	e.WriteOctet(opDeliver)
+func encodeDeliver(group string, seq uint64, sender string, payload []byte) ([]byte, error) {
+	e := beginFrame(opDeliver)
 	e.WriteString(group)
 	e.WriteULongLong(seq)
 	e.WriteString(sender)
 	e.WriteOctets(payload)
-	return e.Bytes()
+	return frame.Finish(e)
 }
 
-func encodeView(group string, viewID, seq uint64, members []string) []byte {
-	e := cdr.NewEncoder(cdr.BigEndian)
-	e.WriteOctet(opView)
+func encodeView(group string, viewID, seq uint64, members []string) ([]byte, error) {
+	e := beginFrame(opView)
 	e.WriteString(group)
 	e.WriteULongLong(viewID)
 	e.WriteULongLong(seq)
@@ -103,20 +75,18 @@ func encodeView(group string, viewID, seq uint64, members []string) []byte {
 	for _, m := range members {
 		e.WriteString(m)
 	}
-	return e.Bytes()
+	return frame.Finish(e)
 }
 
-func encodePrivate(sender string, payload []byte) []byte {
-	e := cdr.NewEncoder(cdr.BigEndian)
-	e.WriteOctet(opPrivate)
+func encodePrivate(sender string, payload []byte) ([]byte, error) {
+	e := beginFrame(opPrivate)
 	e.WriteString(sender)
 	e.WriteOctets(payload)
-	return e.Bytes()
+	return frame.Finish(e)
 }
 
-func encodeDenied(reason string) []byte {
-	e := cdr.NewEncoder(cdr.BigEndian)
-	e.WriteOctet(opDenied)
+func encodeDenied(reason string) ([]byte, error) {
+	e := beginFrame(opDenied)
 	e.WriteString(reason)
-	return e.Bytes()
+	return frame.Finish(e)
 }

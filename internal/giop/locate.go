@@ -39,14 +39,8 @@ type LocateRequestHeader struct {
 	ObjectKey []byte
 }
 
-// EncodeLocateRequest renders a complete LocateRequest message into a
-// buffer the caller owns.
-func EncodeLocateRequest(order cdr.ByteOrder, hdr LocateRequestHeader) []byte {
-	return copyOut(EncodeLocateRequestPooled(order, hdr))
-}
-
-// EncodeLocateRequestPooled is EncodeLocateRequest without the final copy;
-// ownership of the returned encoder follows finishMessage.
+// EncodeLocateRequestPooled renders a complete LocateRequest message in a
+// pooled encoder; ownership of the returned encoder follows finishMessage.
 func EncodeLocateRequestPooled(order cdr.ByteOrder, hdr LocateRequestHeader) *cdr.Encoder {
 	e := beginMessage(order)
 	e.WriteULong(hdr.RequestID)

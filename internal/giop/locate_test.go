@@ -10,8 +10,9 @@ import (
 func TestLocateRequestRoundTrip(t *testing.T) {
 	key := MakeObjectKey("timeofday", "clock")
 	for _, order := range []cdr.ByteOrder{cdr.BigEndian, cdr.LittleEndian} {
-		msg := EncodeLocateRequest(order, LocateRequestHeader{RequestID: 77, ObjectKey: key})
-		h, body, err := ReadMessage(bytes.NewReader(msg))
+		e := EncodeLocateRequestPooled(order, LocateRequestHeader{RequestID: 77, ObjectKey: key})
+		h, body, err := ReadMessage(bytes.NewReader(e.Bytes()))
+		e.Release()
 		if err != nil {
 			t.Fatal(err)
 		}

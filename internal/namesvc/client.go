@@ -2,7 +2,6 @@ package namesvc
 
 import (
 	"fmt"
-	"io"
 	"net"
 	"time"
 
@@ -11,16 +10,6 @@ import (
 	"mead/internal/giop"
 )
 
-// writeFrame and readFrame adapt the shared length-prefixed framing.
-func writeFrame(w io.Writer, payload []byte) error { return frame.Write(w, payload) }
-func readFrame(r io.Reader) ([]byte, error)        { return frame.Read(r) }
-
-// readFrameInto is the buffer-recycling variant used by the server's
-// receive loop (which copies every field it keeps out of the frame).
-func readFrameInto(r io.Reader, buf []byte) (payload, next []byte, err error) {
-	return frame.ReadInto(r, buf)
-}
-
 // Client talks to the naming service. Each call opens its own connection,
 // as a CORBA client resolving through a remote Naming Service would; the
 // connection cost is part of the reactive schemes' re-resolution spike that
@@ -28,24 +17,28 @@ func readFrameInto(r io.Reader, buf []byte) (payload, next []byte, err error) {
 type Client struct {
 	addr    string
 	timeout time.Duration
+	dial    func(network, addr string, timeout time.Duration) (net.Conn, error) // net.DialTimeout; tests count through it
 }
 
 // NewClient returns a client for the naming service at addr.
 func NewClient(addr string) *Client {
-	return &Client{addr: addr, timeout: 5 * time.Second}
+	return &Client{addr: addr, timeout: 5 * time.Second, dial: net.DialTimeout}
 }
 
-func (c *Client) call(req []byte) (*cdr.Decoder, error) {
-	conn, err := net.DialTimeout("tcp", c.addr, c.timeout)
+// call sends the request frame begun in req in one write and decodes the
+// reply frame, which one read normally delivers. The reply lives in the
+// buffer of this call's own reader.
+func (c *Client) call(req *cdr.Encoder) (*cdr.Decoder, error) {
+	conn, err := c.dial("tcp", c.addr, c.timeout)
 	if err != nil {
 		return nil, fmt.Errorf("namesvc: dial %s: %w", c.addr, err)
 	}
 	defer conn.Close()
 	_ = conn.SetDeadline(time.Now().Add(c.timeout))
-	if err := writeFrame(conn, req); err != nil {
+	if err := frame.Write(conn, req); err != nil {
 		return nil, err
 	}
-	reply, err := readFrame(conn)
+	reply, err := frame.NewReader(conn).Next()
 	if err != nil {
 		return nil, fmt.Errorf("namesvc: read reply: %w", err)
 	}
@@ -53,13 +46,15 @@ func (c *Client) call(req []byte) (*cdr.Decoder, error) {
 }
 
 func (c *Client) nameOp(op byte, name string, extra ...string) (*cdr.Decoder, byte, error) {
-	e := cdr.NewEncoder(cdr.BigEndian)
+	e := cdr.GetEncoder(cdr.BigEndian)
+	defer e.Release()
+	frame.Begin(e)
 	e.WriteOctet(op)
 	e.WriteString(name)
 	for _, s := range extra {
 		e.WriteString(s)
 	}
-	d, err := c.call(e.Bytes())
+	d, err := c.call(e)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"mead/internal/cdr"
+	"mead/internal/frame"
 	"mead/internal/giop"
 	"mead/internal/telemetry"
 )
@@ -184,44 +185,46 @@ func (s *Server) acceptLoop() {
 
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
-	// One reusable frame buffer serves the whole loop: handle() copies every
-	// field it keeps (names, IOR strings) out of the frame.
-	var buf []byte
+	// The reader's buffer and one pooled reply encoder serve the whole
+	// loop: handle copies every field it keeps (names, IOR strings) out of
+	// the request, and each reply leaves in one write.
+	rd := frame.NewReader(conn)
+	reply := cdr.GetEncoder(cdr.BigEndian)
+	defer reply.Release()
 	for {
 		_ = conn.SetReadDeadline(time.Now().Add(30 * time.Second))
-		var frame []byte
-		var err error
-		frame, buf, err = readFrameInto(conn, buf)
+		req, err := rd.Next()
 		if err != nil {
 			return
 		}
-		reply, err := s.handle(frame)
-		if err != nil {
+		reply.Reset(cdr.BigEndian)
+		frame.Begin(reply)
+		if err := s.handle(req, reply); err != nil {
 			return
 		}
-		if err := writeFrame(conn, reply); err != nil {
+		if err := frame.Write(conn, reply); err != nil {
 			return
 		}
 	}
 }
 
-func (s *Server) handle(frame []byte) ([]byte, error) {
-	d := cdr.NewDecoder(frame, cdr.BigEndian)
+// handle serves one request, writing the reply payload into e.
+func (s *Server) handle(req []byte, e *cdr.Encoder) error {
+	d := cdr.NewDecoder(req, cdr.BigEndian)
 	op, err := d.ReadOctet()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	s.tel.NameOp()
-	e := cdr.NewEncoder(cdr.BigEndian)
 	switch op {
 	case opBind, opRebind:
 		name, err := d.ReadString()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		ior, err := d.ReadString()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if err := s.bind(name, ior, op == opRebind); err != nil {
 			e.WriteOctet(stError)
@@ -232,7 +235,7 @@ func (s *Server) handle(frame []byte) ([]byte, error) {
 	case opResolve:
 		name, err := d.ReadString()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if ior, ok := s.resolve(name); ok {
 			e.WriteOctet(stOK)
@@ -243,7 +246,7 @@ func (s *Server) handle(frame []byte) ([]byte, error) {
 	case opUnbind:
 		name, err := d.ReadString()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if s.unbind(name) {
 			e.WriteOctet(stOK)
@@ -253,7 +256,7 @@ func (s *Server) handle(frame []byte) ([]byte, error) {
 	case opList:
 		prefix, err := d.ReadString()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		entries := s.list(prefix)
 		e.WriteOctet(stOK)
@@ -263,9 +266,9 @@ func (s *Server) handle(frame []byte) ([]byte, error) {
 			e.WriteString(b.ior)
 		}
 	default:
-		return nil, fmt.Errorf("namesvc: unknown op %d", op)
+		return fmt.Errorf("namesvc: unknown op %d", op)
 	}
-	return e.Bytes(), nil
+	return nil
 }
 
 // Entry is one (name, IOR) binding as returned by List.

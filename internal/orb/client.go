@@ -257,14 +257,14 @@ func (o *ObjectRef) Invoke(op string, writeArgs func(*cdr.Encoder), readResult f
 		}
 		reqID := o.nextID
 		o.nextID++
-		msg := giop.EncodeRequest(o.orb.order, giop.RequestHeader{
+		msg := giop.EncodeRequestPooled(o.orb.order, giop.RequestHeader{
 			RequestID:        reqID,
 			ResponseExpected: true,
 			ObjectKey:        o.tgt.key,
 			Operation:        op,
 		}, writeArgs)
 		sentAt := time.Now()
-		if err := giop.WriteMessageFragmented(o.conn, msg, o.orb.maxBody); err != nil {
+		if err := o.sendLocked(msg, o.orb.maxBody); err != nil {
 			o.dropConnLocked()
 			return giop.CommFailure(10, giop.CompletedMaybe)
 		}
@@ -304,6 +304,16 @@ func (o *ObjectRef) Invoke(op string, writeArgs func(*cdr.Encoder), readResult f
 	}
 	o.dropConnLocked()
 	return giop.CommFailure(11, giop.CompletedMaybe)
+}
+
+// sendLocked writes the message held in a pooled encoder straight from the
+// encoder's buffer (fragmenting above maxBody when it is positive) and
+// releases it: no connection layer keeps the bytes of a Write it has
+// returned from.
+func (o *ObjectRef) sendLocked(msg *cdr.Encoder, maxBody int) error {
+	err := giop.WriteMessageFragmented(o.conn, msg.Bytes(), maxBody)
+	msg.Release()
+	return err
 }
 
 // replyAction is what an invocation does next after one decoded Reply.
@@ -372,13 +382,12 @@ func (o *ObjectRef) InvokeOneWay(op string, writeArgs func(*cdr.Encoder)) error 
 	}
 	reqID := o.nextID
 	o.nextID++
-	msg := giop.EncodeRequest(o.orb.order, giop.RequestHeader{
+	if err := o.sendLocked(giop.EncodeRequestPooled(o.orb.order, giop.RequestHeader{
 		RequestID:        reqID,
 		ResponseExpected: false,
 		ObjectKey:        o.tgt.key,
 		Operation:        op,
-	}, writeArgs)
-	if err := giop.WriteMessageFragmented(o.conn, msg, o.orb.maxBody); err != nil {
+	}, writeArgs), o.orb.maxBody); err != nil {
 		o.dropConnLocked()
 		return giop.CommFailure(14, giop.CompletedMaybe)
 	}
@@ -399,11 +408,12 @@ func (o *ObjectRef) Locate() (giop.LocateStatus, error) {
 	}
 	reqID := o.nextID
 	o.nextID++
-	msg := giop.EncodeLocateRequest(o.orb.order, giop.LocateRequestHeader{
+	// A LocateRequest is never fragmented (GIOP 1.1 fragments Requests and
+	// Replies only).
+	if err := o.sendLocked(giop.EncodeLocateRequestPooled(o.orb.order, giop.LocateRequestHeader{
 		RequestID: reqID,
 		ObjectKey: o.tgt.key,
-	})
-	if _, err := o.conn.Write(msg); err != nil {
+	}), 0); err != nil {
 		o.dropConnLocked()
 		return 0, giop.CommFailure(15, giop.CompletedMaybe)
 	}

@@ -376,6 +376,24 @@ func (s *ServerORB) handleLocate(cw *connWriter, h giop.Header, body []byte) err
 	return nil
 }
 
+// classifyServantError maps a servant's error to the reply it becomes. The
+// errors.As targets escape, so they live here, off the path of a servant
+// that returns nil.
+func classifyServantError(err error) (giop.ReplyStatus, *giop.SystemException, *UserException) {
+	var (
+		sysEx  *giop.SystemException
+		userEx *UserException
+	)
+	switch {
+	case errors.As(err, &sysEx):
+		return giop.ReplySystemException, sysEx, nil
+	case errors.As(err, &userEx):
+		return giop.ReplyUserException, nil, userEx
+	default:
+		return giop.ReplySystemException, &giop.SystemException{RepoID: giop.RepoInternal, Completed: giop.CompletedYes}, nil
+	}
+}
+
 // dispatchRequest invokes the servant for one decoded Request and writes its
 // reply (through the connection's coalescing writer). It runs on a per-request
 // goroutine and owns mb, the pooled buffer backing hdr and args; both die
@@ -389,34 +407,25 @@ func (s *ServerORB) dispatchRequest(conn net.Conn, cw *connWriter, hdr giop.Requ
 	s.mu.Unlock()
 
 	var (
-		status giop.ReplyStatus
+		status = giop.ReplyNoException
 		sysEx  *giop.SystemException
 		userEx *UserException
 		result = cdr.GetEncoder(s.order)
 	)
 	defer result.Release()
-	switch {
-	case servant == nil:
+	if servant == nil {
 		status = giop.ReplySystemException
 		sysEx = &giop.SystemException{
 			RepoID:    giop.RepoObjectNotExist,
 			Completed: giop.CompletedNo,
 		}
-	default:
+	} else {
 		s.served.Add(1)
 		began := time.Now()
 		err := servant.Invoke(hdr.Operation, args, result)
 		s.tel.Dispatched(time.Since(began))
-		switch {
-		case err == nil:
-			status = giop.ReplyNoException
-		case errors.As(err, &sysEx):
-			status = giop.ReplySystemException
-		case errors.As(err, &userEx):
-			status = giop.ReplyUserException
-		default:
-			status = giop.ReplySystemException
-			sysEx = &giop.SystemException{RepoID: giop.RepoInternal, Completed: giop.CompletedYes}
+		if err != nil {
+			status, sysEx, userEx = classifyServantError(err)
 		}
 	}
 	if !hdr.ResponseExpected {

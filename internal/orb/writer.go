@@ -31,6 +31,7 @@ type connWriter struct {
 	mu    sync.Mutex
 	err   error          // sticky transport error; fails later writers fast
 	bufs  net.Buffers    // queued wire segments, flushed last-writer-out
+	vec   net.Buffers    // the slice header WriteTo consumes; a local would escape
 	owned []*cdr.Encoder // pooled encoders backing queued segments
 }
 
@@ -121,11 +122,12 @@ func (w *connWriter) flushLocked() error {
 	if bw, ok := w.conn.(buffersWriter); ok {
 		_, err = bw.WriteBuffers(w.bufs)
 	} else {
-		// WriteTo via a copy of the slice header: consume() advances v and
+		// WriteTo via a copy of the slice header: consume() advances it and
 		// nils entries as they drain, while w.bufs keeps the backing array
 		// for reuse.
-		v := w.bufs
-		_, err = v.WriteTo(w.conn)
+		w.vec = w.bufs
+		_, err = w.vec.WriteTo(w.conn)
+		w.vec = nil
 	}
 	w.releaseLocked()
 	if err != nil {

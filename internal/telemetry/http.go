@@ -49,6 +49,7 @@ var counterDescs = []counterDesc{
 	{"mead_multicasts_total", "GCS payload deliveries to members.", func(t *Telemetry) *Counter { return &t.Multicasts }},
 	{"mead_view_changes_total", "GCS view changes emitted.", func(t *Telemetry) *Counter { return &t.ViewChanges }},
 	{"mead_name_ops_total", "Naming-service operations served.", func(t *Telemetry) *Counter { return &t.NameOps }},
+	{"mead_gcs_slow_consumer_drops_total", "Members the GCS hub disconnected because their delivery queue was full.", func(t *Telemetry) *Counter { return &t.SlowConsumerDrops }},
 	{"mead_ops_logged_total", "Op records appended to the durable log.", func(t *Telemetry) *Counter { return &t.OpsLogged }},
 	{"mead_ops_replayed_total", "Log records replayed during durable recovery.", func(t *Telemetry) *Counter { return &t.OpsReplayed }},
 	{"mead_dups_suppressed_total", "Retransmissions answered from the at-most-once dedup table.", func(t *Telemetry) *Counter { return &t.DupsSuppressed }},
@@ -77,6 +78,19 @@ func promLabels(t *Telemetry) string {
 
 func seconds(d time.Duration) float64 { return d.Seconds() }
 
+// framesPerWriteName is the one ratio series: frames the GCS hub wrote to
+// members per transport write that carried them (1 when nothing is ever
+// queued behind a busy writer, 0 before the first write).
+const framesPerWriteName = "mead_gcs_frames_per_write"
+
+func (t *Telemetry) framesPerWrite() float64 {
+	writes := t.GroupWrites.Value()
+	if writes == 0 {
+		return 0
+	}
+	return float64(t.GroupFrames.Value()) / float64(writes)
+}
+
 // WritePrometheus renders every metric in the Prometheus text exposition
 // format (version 0.0.4). Histograms are rendered as summaries: quantile
 // series plus _sum and _count, with durations in seconds.
@@ -94,6 +108,8 @@ func (t *Telemetry) WritePrometheus(w io.Writer) error {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s%s %d\n",
 			d.name, d.help, d.name, d.name, labels, d.get(t).Value())
 	}
+	fmt.Fprintf(&b, "# HELP %s GCS frames written to members per transport write.\n# TYPE %s gauge\n%s%s %g\n",
+		framesPerWriteName, framesPerWriteName, framesPerWriteName, labels, t.framesPerWrite())
 	for _, d := range histDescs {
 		s := d.get(t).Snapshot()
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s summary\n", d.name, d.help, d.name)
@@ -148,6 +164,7 @@ func (t *Telemetry) WriteJSON(w io.Writer) error {
 		Scheme     string              `json:"scheme,omitempty"`
 		Counters   map[string]uint64   `json:"counters"`
 		Gauges     map[string]int64    `json:"gauges"`
+		Ratios     map[string]float64  `json:"ratios"`
 		Histograms map[string]jsonHist `json:"histograms"`
 		TraceLen   int                 `json:"trace_len"`
 		TraceDrops uint64              `json:"trace_dropped"`
@@ -155,6 +172,7 @@ func (t *Telemetry) WriteJSON(w io.Writer) error {
 		Scheme:     t.scheme,
 		Counters:   make(map[string]uint64, len(counterDescs)),
 		Gauges:     make(map[string]int64, len(gaugeDescs)),
+		Ratios:     map[string]float64{framesPerWriteName: t.framesPerWrite()},
 		Histograms: make(map[string]jsonHist, len(histDescs)),
 		TraceLen:   t.trace.Len(),
 		TraceDrops: t.trace.Dropped(),

@@ -43,6 +43,9 @@ type Telemetry struct {
 	Multicasts         Counter // GCS messages delivered to members
 	ViewChanges        Counter // GCS view changes emitted
 	NameOps            Counter // naming-service operations served
+	GroupFrames        Counter // GCS frames the hub wrote to members
+	GroupWrites        Counter // transport writes that carried them
+	SlowConsumerDrops  Counter // members the hub dropped on a full queue
 
 	// Durable-state subsystem (internal/durable + recovery handshake).
 	OpsLogged            Counter // op records appended to the durable log
@@ -358,6 +361,25 @@ func (t *Telemetry) ViewChange() {
 		return
 	}
 	t.ViewChanges.Inc()
+}
+
+// GroupWrite records one hub-to-member transport write carrying frames
+// queued frames.
+func (t *Telemetry) GroupWrite(frames int) {
+	if t == nil {
+		return
+	}
+	t.GroupFrames.Add(uint64(frames))
+	t.GroupWrites.Inc()
+}
+
+// SlowConsumerDrop records the hub disconnecting a member whose delivery
+// queue filled up.
+func (t *Telemetry) SlowConsumerDrop() {
+	if t == nil {
+		return
+	}
+	t.SlowConsumerDrops.Inc()
 }
 
 // NameOp records one naming-service operation served.

@@ -217,12 +217,18 @@ func TestPrometheusFormat(t *testing.T) {
 	tel.RequestSent("a")
 	tel.ReplyReceived(2 * time.Millisecond)
 	tel.Dispatched(50 * time.Microsecond)
+	tel.GroupWrite(3)
+	tel.GroupWrite(1)
+	tel.SlowConsumerDrop()
 	var buf bytes.Buffer
 	if err := tel.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
 	for _, want := range []string{
+		"# TYPE mead_gcs_frames_per_write gauge",
+		`mead_gcs_frames_per_write{scheme="lf"} 2`,
+		`mead_gcs_slow_consumer_drops_total{scheme="lf"} 1`,
 		"# TYPE mead_requests_sent_total counter",
 		`mead_requests_sent_total{scheme="lf"} 1`,
 		"# TYPE mead_invoke_rtt_seconds summary",
@@ -255,6 +261,7 @@ func TestJSONExport(t *testing.T) {
 	tel := New(WithScheme("mead-message"))
 	tel.ReplyReceived(time.Millisecond)
 	tel.SteadyInvoke(time.Millisecond)
+	tel.GroupWrite(5)
 	var buf bytes.Buffer
 	if err := tel.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -262,6 +269,7 @@ func TestJSONExport(t *testing.T) {
 	var doc struct {
 		Scheme     string                     `json:"scheme"`
 		Counters   map[string]uint64          `json:"counters"`
+		Ratios     map[string]float64         `json:"ratios"`
 		Histograms map[string]json.RawMessage `json:"histograms"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
@@ -275,6 +283,9 @@ func TestJSONExport(t *testing.T) {
 	}
 	if _, ok := doc.Histograms["mead_steady_rtt_seconds"]; !ok {
 		t.Fatalf("histogram missing: %v", doc.Histograms)
+	}
+	if doc.Ratios["mead_gcs_frames_per_write"] != 5 {
+		t.Fatalf("frames per write: %v", doc.Ratios)
 	}
 }
 
