@@ -33,17 +33,19 @@ test:
 
 ## wire-guards: the host-independent performance gates — transport writes per
 ## burst and per invocation under the replicated path, transport writes and
-## reads per control-plane frame (GCS hub and member, naming call), the hub
-## sequencer staying off the sockets, appends per log-file write, Dial calls
-## inside a MEAD hand-off whose standby is ready (none), wire bytes identical
-## to the recorded parent-side streams, and the zero-allocation guards. `make
+## reads per control-plane frame (GCS hub and member, naming call), dials per
+## naming session (one) and inside a crash re-resolution (the replica's only),
+## the naming server's Close not waiting for idle sessions, the hub sequencer
+## staying off the sockets, appends per log-file write, Dial calls inside a
+## MEAD hand-off whose standby is ready (none), wire bytes identical to the
+## recorded parent-side streams, and the zero-allocation guards. `make
 ## test` runs them too, but under -race sync.Pool drops a quarter of its Puts,
 ## which hides an allocation behind the slack the guards then need; here they
 ## run exact.
 wire-guards:
-	$(GO) test -count=1 -run 'OneWrite|ShareServerWrites|SplitsBatch|ResendsBatch|DoNotAllocate|DispatchAllocatesNothing|GroupCommits|FlushesConcurrent|HandOffDialsNothing|SequencerNeverCloses|SlowConsumer|WireBytesMatchParent|ReaderDrains' \
+	$(GO) test -count=1 -run 'OneWrite|ShareServerWrites|SplitsBatch|ResendsBatch|DoNotAllocate|DispatchAllocatesNothing|GroupCommits|FlushesConcurrent|HandOffDialsNothing|SequencerNeverCloses|SlowConsumer|WireBytesMatchParent|ReaderDrains|SessionDialsOnce|ReresolveDialsOnlyTheReplica|CloseDoesNotWait' \
 		./internal/interceptor/ ./internal/orb/ ./internal/durable/ ./internal/ftmgr/ \
-		./internal/gcs/ ./internal/namesvc/ ./internal/frame/
+		./internal/gcs/ ./internal/namesvc/ ./internal/frame/ ./internal/client/
 
 ## chaos-smoke: the deterministic network-chaos suite — the netfault
 ## injector's own tests plus the {scheme × fault-plan} conformance matrix

@@ -130,6 +130,7 @@ func New(cfg Config) (Strategy, error) {
 		cfg:   cfg,
 		names: namesvc.NewClient(cfg.NamesAddr),
 	}
+	base.names.SetTelemetry(cfg.Telemetry)
 	baseOpts := []orb.ClientOption{orb.WithDialTimeout(cfg.DialTimeout)}
 	if cfg.Dial != nil {
 		baseOpts = append(baseOpts, orb.WithDialer(cfg.Dial))
@@ -275,11 +276,13 @@ func (b *base) Close() error {
 	if b.orb != nil {
 		_ = b.orb.Close()
 	}
+	_ = b.names.Close()
 	return err
 }
 
 // resolveAt fetches the naming listing and binds to entry idx (mod len).
-// This is the visible "resolve spike" of the reactive schemes.
+// This is the visible "resolve spike" of the reactive schemes: a round trip
+// on the naming session the strategy holds, plus the connect to the replica.
 func (b *base) resolveAt(idx int) error {
 	entries, err := b.names.List(b.cfg.Service + "/")
 	if err != nil {

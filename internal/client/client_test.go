@@ -2,6 +2,8 @@ package client
 
 import (
 	"errors"
+	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -10,6 +12,7 @@ import (
 	"mead/internal/giop"
 	"mead/internal/namesvc"
 	"mead/internal/replica"
+	"mead/internal/telemetry"
 )
 
 func startInfra(t *testing.T) (*gcs.Hub, *namesvc.Server) {
@@ -225,5 +228,62 @@ func TestOutcomeRTTIncludesRecovery(t *testing.T) {
 	}
 	if spike.RTT <= base.RTT {
 		t.Fatalf("failover RTT %v not above baseline %v", spike.RTT, base.RTT)
+	}
+}
+
+// TestCrashReresolveDialsOnlyTheReplica: a strategy holds one naming
+// session for its lifetime, so getting past a crashed replica — the
+// reactive schemes' re-resolution, and the proactive schemes' fallback to it
+// when a crash gives them no warning — opens exactly one connection, the one
+// to the next replica, and none to the naming service.
+func TestCrashReresolveDialsOnlyTheReplica(t *testing.T) {
+	for _, scheme := range ftmgr.Schemes() {
+		t.Run(scheme.String(), func(t *testing.T) {
+			hub, names := startInfra(t)
+			reps := startReplicas(t, hub, names, scheme, 2)
+			tel := telemetry.New()
+			// Connections opened by the ORB, the interceptor and the GCS
+			// member. (MEAD's interceptor first tries the crashed replica
+			// again, as after a wire fault, and is refused: no connection.)
+			var opened atomic.Int64
+			s, err := New(Config{
+				Scheme:    scheme,
+				Service:   "timeofday",
+				NamesAddr: names.Addr(),
+				HubAddr:   hub.Addr(),
+				Telemetry: tel,
+				Dial: func(network, addr string, timeout time.Duration) (net.Conn, error) {
+					conn, err := net.DialTimeout(network, addr, timeout)
+					if err == nil {
+						opened.Add(1)
+					}
+					return conn, err
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			for i := 0; i < 3; i++ {
+				if out := s.Invoke(); out.Err != nil || out.Replica != "r1" {
+					t.Fatalf("outcome = %+v", out)
+				}
+			}
+			if n := tel.NamingDials.Value(); n != 1 {
+				t.Fatalf("%d naming dials before the crash, want the session's one", n)
+			}
+			before := opened.Load()
+			reps[0].Crash()
+			<-reps[0].Done()
+			if out := s.Invoke(); out.Err != nil || out.Replica != "r2" {
+				t.Fatalf("outcome across the crash = %+v", out)
+			}
+			if n := tel.NamingDials.Value(); n != 1 {
+				t.Errorf("%d naming dials inside the fail-over, want 0", n-1)
+			}
+			if n := opened.Load() - before; n != 1 {
+				t.Errorf("%d connections opened inside the fail-over, want 1 (the next replica)", n)
+			}
+		})
 	}
 }

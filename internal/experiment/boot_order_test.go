@@ -87,7 +87,9 @@ func TestBootOrderMatchesNamingOrder(t *testing.T) {
 	if view.Primary() != "r1" {
 		t.Fatalf("view %v: primary %q, want r1", view.Members, view.Primary())
 	}
-	entries, err := namesvc.NewClient(d.NamesAddr()).List(d.Service() + "/")
+	names := namesvc.NewClient(d.NamesAddr())
+	defer names.Close()
+	entries, err := names.List(d.Service() + "/")
 	if err != nil || len(entries) != 3 {
 		t.Fatalf("naming list: %d entries, %v", len(entries), err)
 	}

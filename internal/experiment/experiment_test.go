@@ -114,14 +114,27 @@ func TestProactiveSchemesMaskFailures(t *testing.T) {
 	}
 }
 
+// failoverMedianInvocations is the run length of the tests that compare
+// fail-over medians between schemes: about a dozen fail-overs per scheme at
+// the compressed scenario's leak rate.
+const failoverMedianInvocations = 3000
+
 func TestMeadFailoverFasterThanReactive(t *testing.T) {
 	// The fixed-seed runs feed every fail-over (across all clients) into
 	// the telemetry histogram; its median is robust to the scheduler-noise
 	// spikes that could invert sub-millisecond wall-clock means under a
 	// loaded (race-enabled, -count=N) run, so a single measurement per
-	// scheme suffices.
-	reactive := run(t, compressed(ftmgr.ReactiveNoCache))
-	mead := run(t, compressed(ftmgr.MeadMessage))
+	// scheme suffices — given enough fail-overs for a median to mean
+	// something: a dozen per scheme, where the 500 invocations of the
+	// compressed run see two, and one late wake-up in MEAD's two inverts the
+	// comparison now that the reactive client keeps its naming session.
+	long := func(scheme ftmgr.Scheme) Scenario {
+		sc := compressed(scheme)
+		sc.Invocations = failoverMedianInvocations
+		return sc
+	}
+	reactive := run(t, long(ftmgr.ReactiveNoCache))
+	mead := run(t, long(ftmgr.MeadMessage))
 	if reactive.FailoverHist.Count == 0 || mead.FailoverHist.Count == 0 {
 		t.Fatalf("missing failover samples: reactive %d, mead %d",
 			reactive.FailoverHist.Count, mead.FailoverHist.Count)
@@ -136,7 +149,9 @@ func TestTable1ShapeMatchesPaper(t *testing.T) {
 	if testing.Short() {
 		t.Skip("five full scenario runs")
 	}
-	table, results, err := RunTable1(compressed(ftmgr.ReactiveNoCache))
+	template := compressed(ftmgr.ReactiveNoCache)
+	template.Invocations = failoverMedianInvocations
+	table, results, err := RunTable1(template)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,9 @@ import (
 // naming service holds for the first replica launched, the primary.
 func pooledRef(t *testing.T, d *Deployment) *orb.ObjectRef {
 	t.Helper()
-	ior, err := namesvc.NewClient(d.NamesAddr()).Resolve(d.Service() + "/" + d.Replicas()[0].Name())
+	names := namesvc.NewClient(d.NamesAddr())
+	defer names.Close()
+	ior, err := names.Resolve(d.Service() + "/" + d.Replicas()[0].Name())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,6 +110,11 @@ func (fr *Reader) Next() ([]byte, error) {
 	}
 }
 
+// Buffered reports how many bytes have been read but not yet handed out as
+// a frame. After Next has failed it tells whether the failure cut a frame
+// short (positive) or fell between frames (zero).
+func (fr *Reader) Buffered() int { return fr.end - fr.off }
+
 // makeRoom arranges for buf[off:] to hold a frame of need bytes: the
 // unconsumed tail moves to the front when it would not fit behind what was
 // already handed out, and the buffer grows when the frame exceeds it.

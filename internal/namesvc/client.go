@@ -1,50 +1,113 @@
 package namesvc
 
 import (
+	"errors"
 	"fmt"
 	"net"
+	"os"
+	"sync"
 	"time"
 
 	"mead/internal/cdr"
 	"mead/internal/frame"
 	"mead/internal/giop"
+	"mead/internal/telemetry"
 )
 
-// Client talks to the naming service. Each call opens its own connection,
-// as a CORBA client resolving through a remote Naming Service would; the
-// connection cost is part of the reactive schemes' re-resolution spike that
-// the paper measures.
+// Client is a session with the naming service: the first call dials, every
+// later call is one write and one read on that connection, and Close
+// releases it — as a CORBA client holds its NamingContext reference while
+// the ORB keeps the connection behind it open. Re-resolving after a failure
+// therefore costs the reactive schemes a round trip, not a connection
+// set-up. Calls are safe for concurrent use and run one at a time.
+//
+// The server closes a session that has been idle for idleTimeout, and a
+// restarted server knows nothing of the old one's sessions. Either way the
+// next call finds its connection dead before any reply byte arrives; it then
+// dials once more and sends the request again. Rebind, Resolve, Unbind and
+// List are resent, Bind is not (a first copy that did execute would make
+// the second fail), and an error on a connection this call dialed itself is
+// returned as it is, so a dead server costs one attempt.
 type Client struct {
 	addr    string
 	timeout time.Duration
 	dial    func(network, addr string, timeout time.Duration) (net.Conn, error) // net.DialTimeout; tests count through it
+	tel     *telemetry.Telemetry                                                // nil-safe; see SetTelemetry
+
+	mu     sync.Mutex // one request in flight; guards the fields below
+	conn   net.Conn   // nil until the first call and after an error
+	rd     *frame.Reader
+	closed bool
 }
 
-// NewClient returns a client for the naming service at addr.
+// NewClient returns a client for the naming service at addr. It connects on
+// first use.
 func NewClient(addr string) *Client {
 	return &Client{addr: addr, timeout: 5 * time.Second, dial: net.DialTimeout}
 }
 
-// call sends the request frame begun in req in one write and decodes the
-// reply frame, which one read normally delivers. The reply lives in the
-// buffer of this call's own reader.
-func (c *Client) call(req *cdr.Encoder) (*cdr.Decoder, error) {
-	conn, err := c.dial("tcp", c.addr, c.timeout)
-	if err != nil {
-		return nil, fmt.Errorf("namesvc: dial %s: %w", c.addr, err)
-	}
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(c.timeout))
-	if err := frame.Write(conn, req); err != nil {
-		return nil, err
-	}
-	reply, err := frame.NewReader(conn).Next()
-	if err != nil {
-		return nil, fmt.Errorf("namesvc: read reply: %w", err)
-	}
-	return cdr.NewDecoder(reply, cdr.BigEndian), nil
+// SetTelemetry attaches the process telemetry: every connection the client
+// dials is counted. Call before the first use.
+func (c *Client) SetTelemetry(t *telemetry.Telemetry) { c.tel = t }
+
+// Close releases the session's connection. Later calls fail with ErrClosed.
+func (c *Client) Close() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.closed = true
+	return c.dropLocked()
 }
 
+func (c *Client) dropLocked() error {
+	if c.conn == nil {
+		return nil
+	}
+	err := c.conn.Close()
+	c.conn, c.rd = nil, nil
+	return err
+}
+
+// callLocked sends the request frame begun in req in one write and returns
+// a decoder on the reply frame, which one read normally delivers. The reply
+// lives in the session reader's buffer: the caller decodes it before it
+// releases c.mu. A connection that fails is dropped, so the next call dials;
+// resend says whether this call may do so itself (see Client).
+func (c *Client) callLocked(req *cdr.Encoder, resend bool) (*cdr.Decoder, error) {
+	if c.closed {
+		return nil, ErrClosed
+	}
+	for {
+		reused := c.conn != nil
+		if !reused {
+			conn, err := c.dial("tcp", c.addr, c.timeout)
+			if err != nil {
+				return nil, fmt.Errorf("namesvc: dial %s: %w", c.addr, err)
+			}
+			c.tel.NamingDial()
+			c.conn, c.rd = conn, frame.NewReader(conn)
+		}
+		_ = c.conn.SetDeadline(time.Now().Add(c.timeout))
+		err := frame.Write(c.conn, req)
+		if err == nil {
+			var reply []byte
+			if reply, err = c.rd.Next(); err == nil {
+				return cdr.NewDecoder(reply, cdr.BigEndian), nil
+			}
+			err = fmt.Errorf("namesvc: read reply: %w", err)
+		}
+		// A reply that had begun, or a server that merely took too long, is
+		// not a stale session: the request may be executing.
+		stale := reused && c.rd.Buffered() == 0 && !errors.Is(err, os.ErrDeadlineExceeded)
+		_ = c.dropLocked()
+		if !stale || !resend {
+			return nil, err
+		}
+	}
+}
+
+// nameOp performs one operation and returns the reply's status and a decoder
+// on what follows it. The caller holds c.mu until it is done with the
+// decoder.
 func (c *Client) nameOp(op byte, name string, extra ...string) (*cdr.Decoder, byte, error) {
 	e := cdr.GetEncoder(cdr.BigEndian)
 	defer e.Release()
@@ -54,7 +117,7 @@ func (c *Client) nameOp(op byte, name string, extra ...string) (*cdr.Decoder, by
 	for _, s := range extra {
 		e.WriteString(s)
 	}
-	d, err := c.call(e)
+	d, err := c.callLocked(e, op != opBind)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -77,6 +140,8 @@ func (c *Client) Rebind(name string, ior giop.IOR) error {
 }
 
 func (c *Client) bind(op byte, name string, ior giop.IOR) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	d, st, err := c.nameOp(op, name, ior.String())
 	if err != nil {
 		return err
@@ -94,6 +159,8 @@ func (c *Client) bind(op byte, name string, ior giop.IOR) error {
 
 // Resolve looks up the IOR bound to name.
 func (c *Client) Resolve(name string) (giop.IOR, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	d, st, err := c.nameOp(opResolve, name)
 	if err != nil {
 		return giop.IOR{}, err
@@ -114,6 +181,8 @@ func (c *Client) Resolve(name string) (giop.IOR, error) {
 
 // Unbind removes the binding for name.
 func (c *Client) Unbind(name string) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	_, st, err := c.nameOp(opUnbind, name)
 	if err != nil {
 		return err
@@ -128,6 +197,8 @@ func (c *Client) Unbind(name string) error {
 // order ("the addresses of the three server replicas" that the cached
 // reactive client stores).
 func (c *Client) List(prefix string) ([]Entry, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	d, st, err := c.nameOp(opList, prefix)
 	if err != nil {
 		return nil, err

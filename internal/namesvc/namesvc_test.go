@@ -14,8 +14,12 @@ func startServer(t *testing.T) (*Server, *Client) {
 	if err := s.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = s.Close() })
-	return s, NewClient(s.Addr())
+	c := NewClient(s.Addr())
+	t.Cleanup(func() {
+		_ = c.Close()
+		_ = s.Close()
+	})
+	return s, c
 }
 
 func testIOR(port uint16) giop.IOR {

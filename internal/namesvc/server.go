@@ -65,16 +65,22 @@ type Server struct {
 	mu       sync.Mutex
 	bindings map[string]*binding
 	nextSeq  int
+	conns    map[net.Conn]struct{} // client sessions being served
 	closed   bool
 }
 
+// idleTimeout is how long the server keeps a session that sends nothing. It
+// guards against clients that vanish without closing; a live client whose
+// session it takes away redials on its next call (see Client).
+const idleTimeout = 30 * time.Second
+
 // NewServer returns an unstarted naming service.
 func NewServer() *Server {
-	return &Server{bindings: make(map[string]*binding)}
+	return &Server{bindings: make(map[string]*binding), conns: make(map[net.Conn]struct{})}
 }
 
 // SetTelemetry attaches the process telemetry: every naming operation served
-// is counted. Call before Start.
+// is counted, and so are the sessions open. Call before Start.
 func (s *Server) SetTelemetry(t *telemetry.Telemetry) { s.tel = t }
 
 // Start begins serving on addr (e.g. "127.0.0.1:0").
@@ -100,7 +106,7 @@ func (s *Server) Addr() string {
 	return s.ln.Addr().String()
 }
 
-// Close stops the server.
+// Close stops the server and closes every session, idle or not.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -108,12 +114,35 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
+	for conn := range s.conns {
+		_ = conn.Close() // its serveConn wakes up and untracks it
+	}
 	s.mu.Unlock()
 	if s.ln != nil {
 		_ = s.ln.Close()
 	}
 	s.wg.Wait()
 	return nil
+}
+
+// track registers an accepted connection for Close to find; it refuses one
+// that was accepted while the server was closing.
+func (s *Server) track(conn net.Conn) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return false
+	}
+	s.conns[conn] = struct{}{}
+	s.tel.NamingSession(+1)
+	return true
+}
+
+func (s *Server) untrack(conn net.Conn) {
+	s.mu.Lock()
+	delete(s.conns, conn)
+	s.mu.Unlock()
+	s.tel.NamingSession(-1)
 }
 
 // bindLocked implements bind/rebind. Rebinding preserves the original
@@ -175,9 +204,14 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return
 		}
+		if !s.track(conn) {
+			_ = conn.Close()
+			return
+		}
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
+			defer s.untrack(conn)
 			s.serveConn(conn)
 		}()
 	}
@@ -192,7 +226,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	reply := cdr.GetEncoder(cdr.BigEndian)
 	defer reply.Release()
 	for {
-		_ = conn.SetReadDeadline(time.Now().Add(30 * time.Second))
+		_ = conn.SetReadDeadline(time.Now().Add(idleTimeout))
 		req, err := rd.Next()
 		if err != nil {
 			return

@@ -42,56 +42,87 @@ func (c *recConn) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// recordingClient returns a client whose every call goes through a fresh
-// recConn, delivered on the channel when the call has closed it.
-func recordingClient(addr string) (*Client, <-chan *recConn) {
-	calls := make(chan *recConn, 16)
+// take returns what the connection carried since the last take, and in how
+// many transport calls.
+func (c *recConn) take() (up, down []byte, writes, reads int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	up, down, writes, reads = c.up, c.down, c.writes, c.reads
+	c.up, c.down, c.writes, c.reads = nil, nil, 0, 0
+	return
+}
+
+// dialLog counts a recording client's dials, failed ones included, and
+// holds the connections they produced, in order.
+type dialLog struct {
+	mu       sync.Mutex
+	attempts int
+	conns    []*recConn
+}
+
+func (l *dialLog) dials() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.attempts
+}
+
+func (l *dialLog) last() *recConn {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.conns[len(l.conns)-1]
+}
+
+// recordingClient returns a client whose connections are recConns, logged
+// as they are dialed.
+func recordingClient(t *testing.T, addr string) (*Client, *dialLog) {
+	log := &dialLog{}
 	c := NewClient(addr)
 	c.dial = func(network, addr string, timeout time.Duration) (net.Conn, error) {
 		conn, err := net.DialTimeout(network, addr, timeout)
+		log.mu.Lock()
+		defer log.mu.Unlock()
+		log.attempts++
 		if err != nil {
 			return nil, err
 		}
 		rc := &recConn{Conn: conn}
-		calls <- rc
+		log.conns = append(log.conns, rc)
 		return rc, nil
 	}
-	return c, calls
+	t.Cleanup(func() { _ = c.Close() })
+	return c, log
 }
 
-// TestNamingCallIsOneWriteOneRead: the request leaves in one transport
-// write and the reply, however many bindings it lists, arrives in one read.
-// The client still opens one connection per call.
-func TestNamingCallIsOneWriteOneRead(t *testing.T) {
+// TestNamingSessionDialsOnce: the first call dials and every call after it
+// reuses that connection; each request leaves in one transport write and
+// each reply, however many bindings it lists, arrives in one read.
+func TestNamingSessionDialsOnce(t *testing.T) {
 	s, _ := startServer(t)
-	c, calls := recordingClient(s.Addr())
+	c, log := recordingClient(t, s.Addr())
+	check := func(op string) {
+		t.Helper()
+		if n := log.dials(); n != 1 {
+			t.Fatalf("%s: %d dials so far, want 1", op, n)
+		}
+		if _, _, writes, reads := log.last().take(); writes != 1 || reads != 1 {
+			t.Errorf("%s: %d writes, %d reads, want 1 and 1", op, writes, reads)
+		}
+	}
 	for i := uint16(1); i <= 3; i++ {
 		if err := c.Rebind("timeofday/r"+string(rune('0'+i)), testIOR(7000+i)); err != nil {
 			t.Fatal(err)
 		}
+		check("rebind")
 	}
 	entries, err := c.List("timeofday/")
 	if err != nil || len(entries) != 3 {
 		t.Fatalf("list: %d entries, %v", len(entries), err)
 	}
+	check("list")
 	if _, err := c.Resolve("timeofday/r2"); err != nil {
 		t.Fatal(err)
 	}
-	for i, op := range []string{"rebind", "rebind", "rebind", "list", "resolve"} {
-		select {
-		case rc := <-calls:
-			if rc.writes != 1 || rc.reads != 1 {
-				t.Errorf("call %d (%s): %d writes, %d reads, want 1 and 1", i, op, rc.writes, rc.reads)
-			}
-		default:
-			t.Fatalf("call %d (%s) did not dial its own connection", i, op)
-		}
-	}
-	select {
-	case <-calls:
-		t.Fatal("more connections than calls")
-	default:
-	}
+	check("resolve")
 }
 
 // scriptConn feeds a server loop one request per Read and reports each
@@ -145,9 +176,10 @@ func TestFramePathsDoNotAllocatePerFrame(t *testing.T) {
 	<-done
 }
 
-// parentConversations were recorded at the parent commit through a byte-level
-// proxy (request bytes, reply bytes per call). The same calls must put the
-// same bytes on the wire, and the parent's replies must decode.
+// parentConversations were recorded at ISSUE 18's parent commit through a
+// byte-level proxy (request bytes, reply bytes per call), one connection per
+// call. The same calls over ONE session must put the same bytes on the wire,
+// and the parent's replies must decode.
 var parentConversations = []struct{ op, up, down string }{
 	{"bind", "000000c7010000000000000d74696d656f666461792f723100000000000000ab494f523a3030303030303030303030303030313734393434346333613664363536313634326635343639366436353466363634343631373933613331326533303030303030303030303030313030303030303030303030303030323730303031303030303030303030303061333133323337326533303265333032653331303030666131303030303030306637343639366436353666363636343631373932663633366336663633366200", "0000000101"},
 	{"bind-dup", "000000c7010000000000000d74696d656f666461792f723100000000000000ab494f523a3030303030303030303030303030313734393434346333613664363536313634326635343639366436353466363634343631373933613331326533303030303030303030303030313030303030303030303030303030323730303031303030303030303030303061333133323337326533303265333032653331303030666131303030303030306637343639366436353666363636343631373932663633366336663633366200", "00000024030000000000001c6e616d657376633a206e616d6520616c726561647920626f756e6400"},
@@ -160,7 +192,7 @@ var parentConversations = []struct{ op, up, down string }{
 
 func TestWireBytesMatchParent(t *testing.T) {
 	s, _ := startServer(t)
-	c, calls := recordingClient(s.Addr())
+	c, log := recordingClient(t, s.Addr())
 	ior := func(port uint16) giop.IOR {
 		return giop.NewIOR("IDL:mead/TimeOfDay:1.0", "127.0.0.1", port, []byte("timeofday/clock"))
 	}
@@ -175,12 +207,15 @@ func TestWireBytesMatchParent(t *testing.T) {
 	}
 	for _, want := range parentConversations {
 		steps[want.op]()
-		rc := <-calls
-		if got := hex.EncodeToString(rc.up); got != want.up {
+		up, down, _, _ := log.last().take()
+		if got := hex.EncodeToString(up); got != want.up {
 			t.Errorf("%s request: %s, parent sent %s", want.op, got, want.up)
 		}
-		if got := hex.EncodeToString(rc.down); got != want.down {
+		if got := hex.EncodeToString(down); got != want.down {
 			t.Errorf("%s reply: %s, parent sent %s", want.op, got, want.down)
 		}
+	}
+	if n := log.dials(); n != 1 {
+		t.Errorf("%d dials for %d calls, want 1", n, len(parentConversations))
 	}
 }

@@ -119,6 +119,7 @@ type muxConn struct {
 	mu      sync.Mutex
 	nextID  uint32
 	pending map[uint32]chan muxReply
+	free    []chan muxReply // reply channels between calls, all empty
 	closed  bool
 	err     error // terminal error delivered to late arrivals
 }
@@ -146,6 +147,11 @@ func (m *muxConn) dial() {
 // encoder via build, hands it to the vectored writer, and blocks until the
 // demultiplexer delivers the matching reply or the connection dies. Any
 // number of callers may be in roundTrip concurrently.
+//
+// The reply channel comes from the connection's free list and goes back to
+// it. Each registration sees exactly one send — from deliver or from fail,
+// whichever takes the id out of pending under m.mu — and the one receive
+// below, so the channel is empty again when its caller has its reply.
 func (m *muxConn) roundTrip(build func(reqID uint32) *cdr.Encoder) (giop.Header, *giop.MsgBuf, error) {
 	m.mu.Lock()
 	if m.closed {
@@ -155,7 +161,12 @@ func (m *muxConn) roundTrip(build func(reqID uint32) *cdr.Encoder) (giop.Header,
 	}
 	id := m.nextID
 	m.nextID++
-	ch := make(chan muxReply, 1)
+	var ch chan muxReply
+	if n := len(m.free); n > 0 {
+		ch, m.free = m.free[n-1], m.free[:n-1]
+	} else {
+		ch = make(chan muxReply, 1)
+	}
 	m.pending[id] = ch
 	m.mu.Unlock()
 
@@ -164,6 +175,9 @@ func (m *muxConn) roundTrip(build func(reqID uint32) *cdr.Encoder) (giop.Header,
 		m.fail(giop.CommFailure(10, giop.CompletedMaybe))
 	}
 	r := <-ch
+	m.mu.Lock()
+	m.free = append(m.free, ch)
+	m.mu.Unlock()
 	return r.hdr, r.mb, r.err
 }
 

@@ -323,6 +323,115 @@ func TestPooledFailAllInFlight(t *testing.T) {
 	}
 }
 
+// TestReplyChannelsAreReused: a connection's reply channels come from its
+// free list and go back to it. 64 callers in flight at once take 64 channels;
+// the next 64, in flight when the connection dies, must take those same 64
+// and no others, every caller gets exactly one COMM_FAILURE, and every
+// channel is back on the list empty — a second send into one of them (deliver
+// and fail both settling one registration) would leave a stale reply for
+// that channel's next caller.
+func TestReplyChannelsAreReused(t *testing.T) {
+	const n = 64
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		// Answer the first n requests once all of them are in, swallow the
+		// next n, then drop the connection.
+		ids := make([]uint32, 0, n)
+		for i := 0; i < 2*n; i++ {
+			h, body, err := giop.ReadMessage(conn)
+			if err != nil {
+				return
+			}
+			hdr, _, err := giop.DecodeRequest(h.Order, body)
+			if err != nil {
+				return
+			}
+			if ids = append(ids, hdr.RequestID); len(ids) != n {
+				continue
+			}
+			for _, id := range ids {
+				reply := giop.EncodeReply(cdr.BigEndian,
+					giop.ReplyHeader{RequestID: id, Status: giop.ReplyNoException},
+					func(e *cdr.Encoder) { e.WriteString("x") })
+				if _, err := conn.Write(reply); err != nil {
+					return
+				}
+			}
+		}
+	}()
+
+	ior, err := giop.NewIORForAddr(typeID, ln.Addr().String(), clockKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewClient(WithConnectionPool())
+	defer c.Close()
+	o := c.Object(ior)
+	round := func() []error {
+		errs := make([]error, n)
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, errs[i] = invokeEcho(o, "x")
+			}()
+		}
+		wg.Wait()
+		return errs
+	}
+	freeList := func(mc *muxConn) map[chan muxReply]bool {
+		mc.mu.Lock()
+		defer mc.mu.Unlock()
+		set := make(map[chan muxReply]bool, len(mc.free))
+		for _, ch := range mc.free {
+			if len(ch) != 0 {
+				t.Errorf("a reply channel on the free list holds %d replies", len(ch))
+			}
+			set[ch] = true
+		}
+		return set
+	}
+
+	for _, err := range round() {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	mc, err := c.pool.get(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := freeList(mc)
+	if len(first) != n {
+		t.Fatalf("%d channels on the free list after %d concurrent calls", len(first), n)
+	}
+	for _, err := range round() {
+		var se *giop.SystemException
+		if !errors.As(err, &se) || se.RepoID != giop.RepoCommFailure {
+			t.Fatalf("caller error = %v, want COMM_FAILURE", err)
+		}
+	}
+	second := freeList(mc)
+	if len(second) != n {
+		t.Fatalf("%d channels on the free list after the connection failed, want the same %d", len(second), n)
+	}
+	for ch := range second {
+		if !first[ch] {
+			t.Fatal("a call allocated a reply channel while the free list held one")
+		}
+	}
+}
+
 // TestPooledLocate exercises LocateRequest demultiplexing on the shared
 // transport.
 func TestPooledLocate(t *testing.T) {

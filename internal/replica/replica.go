@@ -379,7 +379,10 @@ func (r *Replica) Start() (err error) {
 	// TRANSIENT exceptions.
 	if r.cfg.NamesAddr != "" {
 		nc := namesvc.NewClient(r.cfg.NamesAddr)
-		if err := nc.Rebind(r.cfg.BindingName(r.name), ior); err != nil {
+		nc.SetTelemetry(r.cfg.Telemetry)
+		err := nc.Rebind(r.cfg.BindingName(r.name), ior)
+		_ = nc.Close() // one connection per incarnation, not one held per replica
+		if err != nil {
 			return fmt.Errorf("naming registration: %w", err)
 		}
 	}

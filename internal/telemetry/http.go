@@ -49,6 +49,7 @@ var counterDescs = []counterDesc{
 	{"mead_multicasts_total", "GCS payload deliveries to members.", func(t *Telemetry) *Counter { return &t.Multicasts }},
 	{"mead_view_changes_total", "GCS view changes emitted.", func(t *Telemetry) *Counter { return &t.ViewChanges }},
 	{"mead_name_ops_total", "Naming-service operations served.", func(t *Telemetry) *Counter { return &t.NameOps }},
+	{"mead_naming_dials_total", "Connections naming-service clients dialed (one per session, plus one per stale session found).", func(t *Telemetry) *Counter { return &t.NamingDials }},
 	{"mead_gcs_slow_consumer_drops_total", "Members the GCS hub disconnected because their delivery queue was full.", func(t *Telemetry) *Counter { return &t.SlowConsumerDrops }},
 	{"mead_ops_logged_total", "Op records appended to the durable log.", func(t *Telemetry) *Counter { return &t.OpsLogged }},
 	{"mead_ops_replayed_total", "Log records replayed during durable recovery.", func(t *Telemetry) *Counter { return &t.OpsReplayed }},
@@ -60,6 +61,7 @@ var counterDescs = []counterDesc{
 var gaugeDescs = []gaugeDesc{
 	{"mead_leak_bytes", "Bytes currently consumed by the injected memory leak.", func(t *Telemetry) *Gauge { return &t.LeakBytes }},
 	{"mead_leak_capacity_bytes", "Resource-budget capacity the injected leak runs against.", func(t *Telemetry) *Gauge { return &t.LeakCapacity }},
+	{"mead_naming_sessions", "Client connections the naming server holds open.", func(t *Telemetry) *Gauge { return &t.NamingSessions }},
 }
 
 var histDescs = []histDesc{

@@ -43,6 +43,8 @@ type Telemetry struct {
 	Multicasts         Counter // GCS messages delivered to members
 	ViewChanges        Counter // GCS view changes emitted
 	NameOps            Counter // naming-service operations served
+	NamingDials        Counter // connections naming clients dialed
+	NamingSessions     Gauge   // connections the naming server holds open
 	GroupFrames        Counter // GCS frames the hub wrote to members
 	GroupWrites        Counter // transport writes that carried them
 	SlowConsumerDrops  Counter // members the hub dropped on a full queue
@@ -388,6 +390,24 @@ func (t *Telemetry) NameOp() {
 		return
 	}
 	t.NameOps.Inc()
+}
+
+// NamingDial records a naming client opening a connection: once per
+// session, and once more when it finds the session stale.
+func (t *Telemetry) NamingDial() {
+	if t == nil {
+		return
+	}
+	t.NamingDials.Inc()
+}
+
+// NamingSession records the naming server accepting (+1) or releasing (-1)
+// a client connection.
+func (t *Telemetry) NamingSession(delta int64) {
+	if t == nil {
+		return
+	}
+	t.NamingSessions.Add(delta)
 }
 
 // --- Experiment measurement ---

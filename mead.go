@@ -60,7 +60,9 @@ type (
 	Hub = gcs.Hub
 	// NamingServer is the Naming Service daemon.
 	NamingServer = namesvc.Server
-	// NamingClient talks to the Naming Service.
+	// NamingClient is a session with the Naming Service: it connects on
+	// first use, keeps that connection for every later call, and releases
+	// it on Close.
 	NamingClient = namesvc.Client
 
 	// RecoveryConfig parameterizes the Recovery Manager.
@@ -177,7 +179,8 @@ func ServeMetrics(addr string, t *Telemetry) (*MetricsServer, error) {
 // NewNamingServer returns an unstarted Naming Service.
 func NewNamingServer() *NamingServer { return namesvc.NewServer() }
 
-// NewNamingClient returns a client for the Naming Service at addr.
+// NewNamingClient returns a client for the Naming Service at addr. Close it
+// when done: it holds one connection from its first call on.
 func NewNamingClient(addr string) *NamingClient { return namesvc.NewClient(addr) }
 
 // NewReplica returns an unstarted replica named name.

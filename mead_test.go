@@ -105,6 +105,7 @@ func TestPublicNamingRoundTrip(t *testing.T) {
 	}
 	defer srv.Close()
 	c := NewNamingClient(srv.Addr())
+	defer c.Close()
 	if _, err := c.List("x/"); err != nil {
 		t.Fatal(err)
 	}

@@ -71,6 +71,9 @@ served=$(awk '$1 ~ /^mead_server_requests_total/ { print $NF }' "$prom" | head -
     fail "mead_server_requests_total=$served, want >= 50"
 grep -q 'mead_dispatch_seconds{.*quantile="0.99"' "$prom" ||
     fail "missing dispatch p99 quantile series"
+# A replica rebinds over one naming connection per incarnation and closes it.
+dials=$(awk '$1 ~ /^mead_naming_dials_total/ { print $NF }' "$prom" | head -1)
+[ "$dials" = 1 ] || fail "mead_naming_dials_total=$dials on the replica, want 1"
 
 # JSON document shape.
 grep -q '"scheme": *"mead-message"' "$json" || fail "JSON export missing scheme"
