@@ -1,20 +1,15 @@
 GO ?= go
 GOFMT ?= gofmt
 
-# BENCH_ID numbers the committed benchmark snapshot (BENCH_$(BENCH_ID).json);
-# bump it when a PR re-baselines the perf gate.
-BENCH_ID ?= 10
-BENCH_PATTERN = GIOPRequestEncode|GIOPRequestDecode|GIOPReplyDecode|SerializedInvocations|PipelinedInvocations
-
-.PHONY: check fmt-check vet build test wire-guards bench-smoke bench-module bench bench-json bench-compare fuzz-smoke chaos-smoke metrics-smoke dr-smoke
+.PHONY: check fmt-check vet build test perf-guards bench-smoke bench-module bench fuzz-smoke chaos-smoke metrics-smoke dr-smoke
 
 ## check: the full verification gate — formatting, static analysis, build,
 ## race-enabled tests, the write-count and alloc guards without the race
 ## detector, and a one-iteration smoke pass over every benchmark (which also
-## exercises the alloc-reporting paths). Run `make bench-compare`
-## afterwards to gate wire-path performance against the committed
-## BENCH_$(BENCH_ID).json snapshot, and `make bench-json` to re-baseline it.
-check: fmt-check vet build test wire-guards bench-smoke
+## exercises the alloc-reporting paths). Speed itself is judged by
+## `bash bench/run.sh` against BENCHMARK.json (see bench/README.md); nothing
+## here compares nanoseconds.
+check: fmt-check vet build test perf-guards bench-smoke
 
 ## fmt-check: fail (listing the offenders) when any tracked Go file is not
 ## gofmt-clean.
@@ -31,9 +26,12 @@ build:
 test:
 	$(GO) test -race ./...
 
-## wire-guards: the host-independent performance gates — transport writes per
-## burst and per invocation under the replicated path, transport writes and
-## reads per control-plane frame (GCS hub and member, naming call), dials per
+## perf-guards: the host-independent performance gates, and the only perf gate
+## besides the benchmark — allocations per invocation (on a reference that owns
+## its connection and on one that shares it) and per encoded or decoded GIOP
+## message, exact; transport writes per burst and per invocation under the
+## replicated path, write system calls per invocation of the whole replicated
+## path, transport writes and reads per control-plane frame (GCS hub and member, naming call), dials per
 ## naming session (one) and inside a crash re-resolution (the replica's only),
 ## the naming server's Close not waiting for idle sessions, the hub sequencer
 ## staying off the sockets, appends per log-file write, Dial calls inside a
@@ -42,10 +40,10 @@ test:
 ## test` runs them too, but under -race sync.Pool drops a quarter of its Puts,
 ## which hides an allocation behind the slack the guards then need; here they
 ## run exact.
-wire-guards:
-	$(GO) test -count=1 -run 'OneWrite|ShareServerWrites|SplitsBatch|ResendsBatch|DoNotAllocate|DispatchAllocatesNothing|GroupCommits|FlushesConcurrent|HandOffDialsNothing|SequencerNeverCloses|SlowConsumer|WireBytesMatchParent|ReaderDrains|SessionDialsOnce|ReresolveDialsOnlyTheReplica|CloseDoesNotWait' \
-		./internal/interceptor/ ./internal/orb/ ./internal/durable/ ./internal/ftmgr/ \
-		./internal/gcs/ ./internal/namesvc/ ./internal/frame/ ./internal/client/
+perf-guards:
+	$(GO) test -count=1 -run 'AllocsExact|OneWrite|ShareServerWrites|WriteSyscalls|SplitsBatch|ResendsBatch|DoNotAllocate|DispatchAllocatesNothing|GroupCommits|FlushesConcurrent|HandOffDialsNothing|SequencerNeverCloses|SlowConsumer|WireBytesMatchParent|ReaderDrains|SessionDialsOnce|ReresolveDialsOnlyTheReplica|CloseDoesNotWait' \
+		./internal/giop/ ./internal/interceptor/ ./internal/orb/ ./internal/durable/ ./internal/ftmgr/ \
+		./internal/gcs/ ./internal/namesvc/ ./internal/frame/ ./internal/client/ ./internal/experiment/
 
 ## chaos-smoke: the deterministic network-chaos suite — the netfault
 ## injector's own tests plus the {scheme × fault-plan} conformance matrix
@@ -88,31 +86,6 @@ bench-module:
 ## invocation throughput).
 bench:
 	$(GO) test -run '^$$' -bench 'GIOPRequestEncode|GIOPRequestDecode|GIOPReplyDecode|RequestParse|Invocations' -benchmem -benchtime=20000x .
-
-## bench-json: write the machine-readable benchmark snapshot
-## BENCH_$(BENCH_ID).json at the repo root — the perf-gate baseline that CI
-## compares fresh runs against. Runs the wire-path benches repeatedly at
-## GOMAXPROCS 1/2/4 and keeps the per-bench MAXIMUM ns/op (and maximum
-## allocs/op): the baseline records the slowest observed estimate while the
-## bench-compare gate keeps the fastest of its fresh runs, so the 15%
-## ns/op margin gates genuine regressions rather than run-to-run scheduler
-## noise. Pure go; no external tools.
-bench-json:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -benchtime=10000x -count=3 -cpu 1,2,4 . \
-		| $(GO) run ./scripts/benchjson -keep max > BENCH_$(BENCH_ID).json
-	@echo "wrote BENCH_$(BENCH_ID).json"
-
-## bench-compare: re-measure the wire-path benches and fail if any regresses
-## against the committed BENCH_$(BENCH_ID).json: 15% ns/op on the
-## encode/decode micro-benches, 60% on the macro TCP round-trip invocation
-## benches (their wall clock swings ~35% run-to-run on an idle host), and
-## any added allocation on a zero-alloc-guarded path. This is the CI perf
-## gate.
-bench-compare:
-	@tmp="$$(mktemp)"; trap 'rm -f "$$tmp"' EXIT; \
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -benchtime=10000x -count=3 -cpu 1,2,4 . \
-		| $(GO) run ./scripts/benchjson > "$$tmp" && \
-	$(GO) run ./scripts/benchcompare BENCH_$(BENCH_ID).json "$$tmp"
 
 ## fuzz-smoke: a short burst over each fuzz target (decode paths and the CDR
 ## string reader, the control-plane frame reader) to keep them healthy;

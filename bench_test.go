@@ -427,11 +427,11 @@ func BenchmarkAblation_ObjectTable_64(b *testing.B)  { runObjectScalingBench(b, 
 func BenchmarkAblation_ObjectTable_512(b *testing.B) { runObjectScalingBench(b, 512) }
 
 // BenchmarkSerializedInvocations vs BenchmarkPipelinedInvocations measure
-// the tentpole of the multiplexed client transport: N concurrent callers
-// share one reference to one replica. On the serialized (private-connection)
-// path every invocation queues behind the reference's mutex; on the pooled
-// path the same single TCP connection carries N concurrent in-flight
-// requests demultiplexed by request id.
+// what sharing a connection buys: N concurrent callers share one reference
+// to one replica. On a plain ORB the reference owns its connection and every
+// invocation queues behind the reference's mutex; under WithConnectionPool
+// the same single TCP connection carries N concurrent in-flight requests
+// matched to their callers by request id.
 func runInvocationBench(b *testing.B, callers int, pooled bool, copts ...orb.ClientOption) {
 	b.Helper()
 	runInvocationBenchServant(b, callers, pooled, orb.ServantFunc(func(op string, args *cdr.Decoder, result *cdr.Encoder) error {

@@ -83,9 +83,9 @@ type Config struct {
 	// The chaos harness substitutes netfault's injecting dialer; nil means
 	// net.DialTimeout.
 	Dial orb.DialFunc
-	// SharedPool switches the client ORB onto the shared multiplexed
-	// transport (one connection per replica address, concurrent in-flight
-	// requests demultiplexed by request id). Supported for the reactive
+	// SharedPool makes the client ORB's references share connections (one
+	// per replica address, concurrent in-flight requests matched to their
+	// callers by request id). Supported for the reactive
 	// and LOCATION_FORWARD schemes; the interceptor-based schemes
 	// (NEEDS_ADDRESSING, MEAD) assume one in-flight request per connection
 	// and reject it.

@@ -551,8 +551,13 @@ func TestNeedsAddressingPartialFailuresUnderLANEmulation(t *testing.T) {
 	// With paper-like network latency (fixed delay + jitter), the
 	// NEEDS_ADDRESSING failure window opens *partially*: some recoveries
 	// beat the 10 ms query window and stay masked, others do not — the
-	// paper's 25% regime (we measure ~40% at these constants; the exact
-	// rate depends on network constants, the mechanism is the point).
+	// paper's 25% regime (we measured ~40% at these constants, and ~33% since
+	// a replica keeps a primary query it cannot answer for the next view:
+	// what is left are the answers that the emulated network itself delivers
+	// late. The exact rate depends on network constants, the mechanism is
+	// the point. The run is long enough for some fifteen server failures:
+	// with five, under the race detector on a loaded host, three attempts
+	// in a row read 0% in 2 runs of 30).
 	//
 	// Whether one recovery beats the window is a wall-clock race, so a
 	// loaded machine (the parallel suite runs in-process benchmarks in
@@ -565,7 +570,7 @@ func TestNeedsAddressingPartialFailuresUnderLANEmulation(t *testing.T) {
 	var pct float64
 	for attempt, seed := range []int64{2004, 2005, 2006} {
 		sc := compressed(ftmgr.NeedsAddressing)
-		sc.Invocations = 3000
+		sc.Invocations = 9000
 		sc.Period = 300 * time.Microsecond
 		sc.Fault.Tick = 4 * time.Millisecond
 		sc.GCSDelay = 1500 * time.Microsecond

@@ -88,6 +88,10 @@ type Manager struct {
 	noticeSent   bool
 	firstRequest bool
 	migrations   int // replies rewritten / piggybacked so far
+	// held keeps the primary queries this replica could not answer, the latest
+	// per asker, until the next view: a client that lost the primary asks before
+	// the group agrees it is gone, and whoever that view makes primary answers.
+	held map[string]QueryPrimary
 }
 
 // Errors.
@@ -117,6 +121,7 @@ func NewManager(cfg Config) (*Manager, error) {
 		cfg:        cfg,
 		replicas:   make(map[string]Announce),
 		iorsByHash: make(map[uint16]map[string]giop.IOR),
+		held:       make(map[string]QueryPrimary),
 	}, nil
 }
 
@@ -181,7 +186,17 @@ func (m *Manager) HandleDelivery(d gcs.Delivery) {
 				list = append(list, a)
 			}
 		}
+		// Every view settles the held queries: the replica it makes primary
+		// answers them and the others let go.
+		held := m.held
+		m.held = make(map[string]QueryPrimary)
+		self, known := m.replicas[m.cfg.ReplicaName]
 		m.mu.Unlock()
+		if isCoordinator && known {
+			for _, q := range held {
+				m.sendPrimaryIs(q, self)
+			}
+		}
 		// "Whenever group-membership changes occur ... the first replica
 		// listed in the Spread group-membership message sends a message
 		// that synchronizes the listing of active servers across the
@@ -211,15 +226,22 @@ func (m *Manager) HandleDelivery(d gcs.Delivery) {
 	}
 }
 
-// answerPrimaryQuery responds if this replica is the current primary.
+// answerPrimaryQuery responds if this replica is the current primary, and
+// otherwise keeps the query for the next view (see Manager.held).
 func (m *Manager) answerPrimaryQuery(q QueryPrimary) {
 	m.mu.Lock()
 	isPrimary := m.primaryNameLocked() == m.cfg.ReplicaName
 	self, known := m.replicas[m.cfg.ReplicaName]
-	m.mu.Unlock()
 	if !isPrimary || !known {
+		m.held[q.ReplyTo] = q
+		m.mu.Unlock()
 		return
 	}
+	m.mu.Unlock()
+	m.sendPrimaryIs(q, self)
+}
+
+func (m *Manager) sendPrimaryIs(q QueryPrimary, self Announce) {
 	_ = m.cfg.Member.Send(q.ReplyTo, EncodePrimaryIs(PrimaryIs{
 		Name: self.Name, Addr: self.Addr, IORs: self.IORs,
 	}))

@@ -517,3 +517,94 @@ func TestLocationForwardAnswersEachInFlightRequest(t *testing.T) {
 		t.Fatalf("migrations = %d, want 2 (one per forwarded request)", got)
 	}
 }
+
+// TestPrimaryQueryAcrossCrashView feeds one Manager scripted deliveries —
+// no delivery pump, no timing — in the two orders the hub can sequence a
+// client's primary query and the view that drops the crashed primary. The
+// client must get exactly one PrimaryIs either way. Query first is the order
+// a busy host produces: no survivor is primary yet, so the one the view makes
+// primary has to have kept the query; and a member the next view does not make
+// primary must have dropped it, or it would answer at some later view.
+func TestPrimaryQueryAcrossCrashView(t *testing.T) {
+	view := func(seq uint64, members ...string) gcs.Delivery {
+		return gcs.Delivery{Kind: gcs.DeliverView, Group: testGroup, Seq: seq,
+			View: gcs.View{Group: testGroup, ID: seq, Seq: seq, Members: members}}
+	}
+	data := func(payload []byte) gcs.Delivery {
+		return gcs.Delivery{Kind: gcs.DeliverData, Group: testGroup, Payload: payload}
+	}
+	query := data(EncodeQueryPrimary(QueryPrimary{ReplyTo: "client-1"}))
+
+	cases := []struct {
+		name    string
+		replica string
+		script  []gcs.Delivery
+		want    int
+	}{
+		{"query then crash view", "r2",
+			[]gcs.Delivery{query, query, view(2, "r2", "r3"), view(3, "r2", "r3", "r1b")}, 1},
+		{"query, a view that leaves the primary in place, then the crash view", "r2",
+			[]gcs.Delivery{query, view(2, "r1", "r2", "r3", "r4"), view(3, "r2", "r3", "r4")}, 0},
+		{"crash view then query", "r2",
+			[]gcs.Delivery{view(2, "r2", "r3"), query, view(3, "r2", "r3", "r1b")}, 1},
+		{"query then crash view, at the member it does not make primary", "r3",
+			[]gcs.Delivery{query, view(2, "r2", "r3"), view(3, "r3")}, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			h := startHub(t)
+			member := dialMember(t, h, tc.replica)
+			client := dialMember(t, h, "client-1")
+			// Its own view of a scratch group tells the client the hub knows it
+			// by name, which a private message to it needs.
+			_ = client.Join("scratch")
+			<-client.Deliveries()
+			m, err := NewManager(Config{
+				ReplicaName: tc.replica, Group: testGroup, Scheme: NeedsAddressing,
+				Monitor: budgetAt(t, 0), Member: member,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.HandleDelivery(view(1, "r1", "r2", "r3"))
+			for i, name := range []string{"r1", "r2", "r3"} {
+				m.HandleDelivery(data(EncodeAnnounce(Announce{
+					Name: name, Addr: "addr-" + name, IORs: []giop.IOR{sampleIOR(uint16(7001 + i))},
+				})))
+			}
+			for _, d := range tc.script {
+				m.HandleDelivery(d)
+			}
+			// The hub delivers one sender's private messages in order: whatever
+			// the script made the manager send is ahead of this marker.
+			if err := member.Send("client-1", EncodeNotice(Notice{Replica: "end-of-script"})); err != nil {
+				t.Fatal(err)
+			}
+			answers := 0
+			for {
+				var d gcs.Delivery
+				select {
+				case d = <-client.Deliveries():
+				case <-time.After(5 * time.Second):
+					t.Fatal("the end-of-script marker never arrived")
+				}
+				msg, err := DecodeMessage(d.Payload)
+				if d.Kind != gcs.DeliverPrivate || err != nil {
+					continue
+				}
+				if p, ok := msg.(PrimaryIs); ok {
+					if p.Name != tc.replica || p.Addr != "addr-"+tc.replica {
+						t.Fatalf("primary answer = %+v", p)
+					}
+					answers++
+				}
+				if _, ok := msg.(Notice); ok {
+					break
+				}
+			}
+			if answers != tc.want {
+				t.Fatalf("client got %d PrimaryIs answers, want %d", answers, tc.want)
+			}
+		})
+	}
+}

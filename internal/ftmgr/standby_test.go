@@ -252,7 +252,7 @@ func TestNoticeReplyDoesNotWaitForTheDial(t *testing.T) {
 	d.requireAllClosed(t)
 }
 
-// TestHandOffDialsNothing is the dial-count guard of `make wire-guards`: with
+// TestHandOffDialsNothing is the dial-count guard of `make perf-guards`: with
 // a standby ready for the address the FAILOVER frame names, the hand-off makes
 // no Dial call — the only one was made when the NOTICE arrived.
 func TestHandOffDialsNothing(t *testing.T) {

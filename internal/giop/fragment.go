@@ -152,24 +152,3 @@ func ReadMessagePooled(r io.Reader) (Header, *MsgBuf, error) {
 	h.Size = uint32(len(mb.b))
 	return h, mb, nil
 }
-
-// WriteMessageFragmented writes a complete GIOP message, splitting it when
-// its body exceeds maxBody (maxBody <= 0 disables fragmentation).
-func WriteMessageFragmented(w io.Writer, raw []byte, maxBody int) error {
-	if maxBody <= 0 {
-		if _, err := w.Write(raw); err != nil {
-			return fmt.Errorf("giop: write message: %w", err)
-		}
-		return nil
-	}
-	frames, err := FragmentMessage(raw, maxBody)
-	if err != nil {
-		return err
-	}
-	for _, frame := range frames {
-		if _, err := w.Write(frame); err != nil {
-			return fmt.Errorf("giop: write fragment: %w", err)
-		}
-	}
-	return nil
-}

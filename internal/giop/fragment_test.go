@@ -229,17 +229,6 @@ func TestReassemblyRejectsWrongContinuation(t *testing.T) {
 	}
 }
 
-func TestWriteMessageFragmentedDisabled(t *testing.T) {
-	msg := bigRequest(300)
-	var out bytes.Buffer
-	if err := WriteMessageFragmented(&out, msg, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out.Bytes(), msg) {
-		t.Fatal("disabled fragmentation altered the message")
-	}
-}
-
 func TestQuickFragmentRoundTrip(t *testing.T) {
 	f := func(payloadLen uint16, fragSize uint8) bool {
 		size := int(payloadLen%4000) + 1

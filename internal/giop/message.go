@@ -217,14 +217,6 @@ func copyOut(e *cdr.Encoder) []byte {
 	return out
 }
 
-// WriteMessage writes a complete GIOP message to w.
-func WriteMessage(w io.Writer, order cdr.ByteOrder, t MsgType, body []byte) error {
-	if _, err := w.Write(EncodeMessage(order, t, body)); err != nil {
-		return fmt.Errorf("giop: write %v: %w", t, err)
-	}
-	return nil
-}
-
 // ReadMessage reads one logical GIOP message from r, transparently
 // reassembling GIOP 1.1 fragments. The returned body is freshly allocated
 // and owned by the caller; steady-state connection readers use

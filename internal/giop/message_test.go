@@ -53,9 +53,7 @@ func TestParseHeaderErrors(t *testing.T) {
 func TestMessageRoundTripOverPipe(t *testing.T) {
 	var buf bytes.Buffer
 	body := []byte("hello giop body")
-	if err := WriteMessage(&buf, cdr.LittleEndian, MsgReply, body); err != nil {
-		t.Fatal(err)
-	}
+	buf.Write(EncodeMessage(cdr.LittleEndian, MsgReply, body))
 	h, got, err := ReadMessage(&buf)
 	if err != nil {
 		t.Fatal(err)

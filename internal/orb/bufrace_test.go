@@ -67,8 +67,8 @@ func TestPooledBufferReleaseUnderPipelining(t *testing.T) {
 	}
 }
 
-// TestSerializedBufferReuseAcrossInvocations covers the private-connection
-// path: one reference, many sequential invocations with differing payload
+// TestSerializedBufferReuseAcrossInvocations covers a reference that owns its
+// connection: one reference, many sequential invocations with differing payload
 // sizes, all recycling through the same pooled buffers.
 func TestSerializedBufferReuseAcrossInvocations(t *testing.T) {
 	s, _ := startServer(t)

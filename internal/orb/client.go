@@ -1,11 +1,11 @@
 package orb
 
 import (
-	"bufio"
 	"fmt"
 	"net"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mead/internal/cdr"
@@ -31,7 +31,7 @@ func WithClientConnWrapper(w ConnWrapper) ClientOption {
 type DialFunc func(network, addr string, timeout time.Duration) (net.Conn, error)
 
 // WithDialer replaces the transport dialer for every connection this ORB
-// opens (private and pooled).
+// opens.
 func WithDialer(d DialFunc) ClientOption {
 	return clientOptionFunc(func(c *ClientORB) { c.dial = d })
 }
@@ -67,19 +67,19 @@ func WithClientMaxBodyBytes(n int) ClientOption {
 	return clientOptionFunc(func(c *ClientORB) { c.maxBody = n })
 }
 
-// WithConnectionPool switches every ObjectRef of this ORB onto a shared
-// multiplexed transport: exactly one connection per IIOP host:port, with
-// concurrent in-flight requests demultiplexed by request id. Invocations on
-// one ObjectRef are then no longer serialized against each other, and a
-// burst of concurrent requests leaves in one vectored write; every frame on
-// the wire remains a standalone standard GIOP message.
+// WithConnectionPool makes the ORB's references share connections: exactly
+// one per IIOP host:port, held by every ObjectRef bound there, and invocations
+// on one ObjectRef may then overlap — a burst of concurrent requests leaves in
+// one vectored write and replies are matched to their callers by request id;
+// every frame on the wire remains a standalone standard GIOP message. Without
+// it each reference has a connection of its own and serializes its calls.
 //
-// The pooled transport is incompatible with client-side interceptor schemes
+// Shared connections are incompatible with client-side interceptor schemes
 // that assume a single in-flight request per connection (NEEDS_ADDRESSING's
-// fabricated replies, the MEAD piggyback swap); callers wire it up only for
-// schemes without that assumption.
+// fabricated replies, the MEAD piggyback swap); callers wire the option up
+// only for schemes without that assumption.
 func WithConnectionPool() ClientOption {
-	return clientOptionFunc(func(c *ClientORB) { c.pool = newConnPool(c) })
+	return clientOptionFunc(func(c *ClientORB) { c.pool = &connPool{conns: make(map[string]*muxConn)} })
 }
 
 // ClientORB is the client-side ORB.
@@ -108,9 +108,10 @@ func NewClient(opts ...ClientOption) *ClientORB {
 	return c
 }
 
-// Close releases the ORB's shared resources (the connection pool, when
-// enabled); in-flight pooled invocations observe COMM_FAILURE. References
-// with private connections are closed individually via ObjectRef.Close.
+// Close closes the connections the ORB's references share: invocations in
+// flight on them observe COMM_FAILURE, later ones ErrClientClosed. Without
+// WithConnectionPool there is nothing to close here: each reference owns its
+// connection and lets go of it in ObjectRef.Close.
 func (c *ClientORB) Close() error {
 	if c.pool != nil {
 		c.pool.close()
@@ -125,7 +126,37 @@ func (c *ClientORB) PooledConnections() int {
 	if c.pool == nil {
 		return 0
 	}
-	return c.pool.activeConns()
+	c.pool.mu.Lock()
+	defer c.pool.mu.Unlock()
+	return len(c.pool.conns)
+}
+
+// acquire returns a connection to addr for one more reference to hold: a new
+// one of its own, or under WithConnectionPool the live shared one, made if
+// there is none (concurrent callers for one address share a single dial).
+func (c *ClientORB) acquire(addr string) (*muxConn, error) {
+	var mc *muxConn
+	if p := c.pool; p == nil {
+		mc = newMuxConn(c, addr)
+	} else {
+		p.mu.Lock()
+		if p.conns == nil {
+			p.mu.Unlock()
+			return nil, ErrClientClosed
+		}
+		if mc = p.conns[addr]; mc == nil {
+			mc = newMuxConn(c, addr)
+			p.conns[addr] = mc
+		}
+		mc.holders++
+		p.mu.Unlock()
+	}
+	mc.dialOnce.Do(mc.dial)
+	if mc.dialErr != nil {
+		mc.release()
+		return nil, mc.dialErr
+	}
+	return mc, nil
 }
 
 // Stats counts the transparent recovery actions a reference performed;
@@ -137,19 +168,23 @@ type Stats struct {
 }
 
 // ObjectRef is a client-side reference to a (possibly replicated) CORBA
-// object. With the default private connection, invocations on one ObjectRef
-// are serialized, as with a single-threaded CORBA client; on an ORB built
-// WithConnectionPool they proceed concurrently over the shared multiplexed
-// transport.
+// object. It holds the connection its requests travel on from its first call
+// until a LOCATION_FORWARD, Redirect or Close makes it let go. On a plain ORB
+// the connection is its own and invocations on one ObjectRef are serialized,
+// as with a single-threaded CORBA client: one request per connection at a
+// time, which the client-side interceptors depend on. Under WithConnectionPool
+// it shares the connection of its endpoint and invocations proceed concurrently.
 type ObjectRef struct {
 	orb *ClientORB
 
-	mu     sync.Mutex
-	tgt    target
-	conn   net.Conn
-	rd     *bufio.Reader // buffers reads from conn
-	nextID uint32
-	stats  Stats
+	// serial is held across a whole call on a plain ORB.
+	serial sync.Mutex
+
+	mu  sync.Mutex
+	tgt target
+	mc  *muxConn // nil before the first call and after letting go
+
+	invocations, forwards, retransmissions atomic.Int64
 }
 
 // target is an IOR with the endpoint and object key of its IIOP profile
@@ -172,7 +207,7 @@ func resolveTarget(ior giop.IOR) target {
 
 // Object materializes a reference from an IOR.
 func (c *ClientORB) Object(ior giop.IOR) *ObjectRef {
-	return &ObjectRef{orb: c, nextID: 1, tgt: resolveTarget(ior)}
+	return &ObjectRef{orb: c, tgt: resolveTarget(ior)}
 }
 
 // IOR returns the reference's current IOR (it changes when the ORB follows
@@ -185,58 +220,80 @@ func (o *ObjectRef) IOR() giop.IOR {
 
 // Stats returns a snapshot of the reference's recovery counters.
 func (o *ObjectRef) Stats() Stats {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.stats
+	return Stats{
+		Invocations:     int(o.invocations.Load()),
+		Forwards:        int(o.forwards.Load()),
+		Retransmissions: int(o.retransmissions.Load()),
+	}
 }
 
-// Redirect rebinds the reference to a new IOR, dropping any existing
-// connection. Reactive client strategies call it after a failure.
+// Redirect rebinds the reference to a new IOR, letting go of the connection
+// it holds. Reactive client strategies call it after a failure.
 func (o *ObjectRef) Redirect(ior giop.IOR) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	o.dropConnLocked()
+	o.dropLocked()
 	o.tgt = resolveTarget(ior)
 }
 
-// Close releases the reference's connection.
+// Close lets go of the reference's connection; a later call takes a new one.
 func (o *ObjectRef) Close() error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	o.dropConnLocked()
+	o.dropLocked()
 	return nil
 }
 
-func (o *ObjectRef) dropConnLocked() {
-	if o.conn != nil {
-		_ = o.conn.Close()
-		o.conn = nil
-		o.rd = nil
+// dropLocked gives up the reference's hold on its connection, which closes
+// once nobody holds it and no request is left on it.
+func (o *ObjectRef) dropLocked() {
+	if o.mc != nil {
+		o.mc.release()
+		o.mc = nil
 	}
 }
 
-// connectLocked establishes the transport to the reference's current IOR.
-// Connection refusal maps to TRANSIENT: the reference may be stale (the
-// paper's cached-reference failure mode).
-func (o *ObjectRef) connectLocked() error {
-	if o.conn != nil {
-		return nil
+// enter registers the reference's next request on the connection it holds —
+// taking one first if it holds none, or a failed one — and returns the object
+// key to address. It runs under o.mu so that no forward, Redirect or Close can
+// let go of the connection between finding it and registering on it: a request
+// is on the old connection, which then stays open until it has left, or on the
+// new one.
+func (o *ObjectRef) enter(twoWay bool) (*muxConn, request, []byte, error) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.mc != nil {
+		if rq, err := o.mc.register(twoWay); err == nil {
+			return o.mc, rq, o.tgt.key, nil
+		}
+		o.dropLocked()
 	}
-	addr := o.tgt.addr
-	if addr == "" {
-		return giop.Transient(1, giop.CompletedNo)
+	if o.tgt.addr == "" {
+		return nil, request{}, nil, giop.Transient(1, giop.CompletedNo)
 	}
-	conn, err := o.orb.dial("tcp", addr, o.orb.dialTimeout)
+	mc, err := o.orb.acquire(o.tgt.addr)
 	if err != nil {
-		return giop.Transient(2, giop.CompletedNo)
+		return nil, request{}, nil, err
 	}
-	if o.orb.wrap != nil {
-		conn = o.orb.wrap(conn)
+	o.mc = mc
+	rq, err := mc.register(twoWay)
+	return mc, rq, o.tgt.key, err
+}
+
+// follow rebinds the reference to the IOR a request sent on from was
+// forwarded to, and returns that address — unless the reference is no longer
+// bound there: another caller's forward may already have moved it, and this
+// caller then retries where the reference points now.
+func (o *ObjectRef) follow(from *muxConn, fwd giop.IOR) string {
+	o.forwards.Add(1)
+	t := resolveTarget(fwd)
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.tgt.addr == from.addr {
+		o.dropLocked()
+		o.tgt = t
 	}
-	o.conn = conn
-	o.rd = bufio.NewReaderSize(conn, connReadBufSize)
-	o.orb.tel.ConnOpened(addr)
-	return nil
+	return t.addr
 }
 
 // Invoke performs one two-way CORBA invocation: marshal, send, await reply,
@@ -244,76 +301,62 @@ func (o *ObjectRef) connectLocked() error {
 // the GIOP specification. Both retransmission paths are exactly the
 // mechanics the paper's proactive schemes trigger.
 func (o *ObjectRef) Invoke(op string, writeArgs func(*cdr.Encoder), readResult func(*cdr.Decoder) error) error {
-	if o.orb.pool != nil {
-		return o.invokePooled(op, writeArgs, readResult)
+	if o.orb.pool == nil {
+		o.serial.Lock()
+		defer o.serial.Unlock()
 	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.stats.Invocations++
-
+	o.invocations.Add(1)
 	for attempt := 0; attempt <= o.orb.maxForwards; attempt++ {
-		if err := o.connectLocked(); err != nil {
+		mc, rq, key, err := o.enter(true)
+		if err != nil {
 			return err
 		}
-		reqID := o.nextID
-		o.nextID++
-		msg := giop.EncodeRequestPooled(o.orb.order, giop.RequestHeader{
-			RequestID:        reqID,
-			ResponseExpected: true,
-			ObjectKey:        o.tgt.key,
-			Operation:        op,
-		}, writeArgs)
 		sentAt := time.Now()
-		if err := o.sendLocked(msg, o.orb.maxBody); err != nil {
-			o.dropConnLocked()
-			return giop.CommFailure(10, giop.CompletedMaybe)
-		}
-		o.orb.tel.RequestSent(o.tgt.addr)
-
-		// The reply header and the decoder d borrow mb; settleReply below
-		// takes both over and releases them.
-		rh, d, mb, err := o.readReplyLocked(reqID)
+		o.orb.tel.RequestSent(mc.addr)
+		hdr, mb, err := mc.roundTrip(rq, func(reqID uint32) *cdr.Encoder {
+			return giop.EncodeRequestPooled(o.orb.order, giop.RequestHeader{
+				RequestID:        reqID,
+				ResponseExpected: true,
+				ObjectKey:        key,
+				Operation:        op,
+			}, writeArgs)
+		})
 		if err != nil {
-			o.dropConnLocked()
 			return err
 		}
 		o.orb.tel.ReplyReceived(time.Since(sentAt))
+		// roundTrip handed us ownership of mb; rh and d borrow it, and
+		// settleReply takes both over.
+		if hdr.Type != giop.MsgReply {
+			mb.Release()
+			return &giop.SystemException{RepoID: giop.RepoInternal, Minor: 22, Completed: giop.CompletedMaybe}
+		}
+		rh, d, err := giop.DecodeReply(hdr.Order, mb.Bytes())
+		if err != nil {
+			mb.Release()
+			return fmt.Errorf("orb: corrupt reply: %w", err)
+		}
 
 		action, fwd, err := settleReply(rh.Status, op, d, mb, readResult)
 		switch action {
 		case replyDone:
-			return err
-		case replyBroken:
-			o.dropConnLocked()
+			// Even a reply whose body does not decode condemns only this
+			// invocation: it was framed correctly, so the stream is in step.
 			return err
 		case replyForward:
 			// "The client ORB, on receiving this message, transparently
 			// retransmits the client request to the new replica without
 			// notifying the client application."
-			o.dropConnLocked()
-			o.tgt = resolveTarget(fwd)
-			o.stats.Forwards++
-			o.orb.tel.ForwardTaken(o.tgt.addr)
+			o.orb.tel.ForwardTaken(o.follow(mc, fwd))
 		case replyRetransmit:
 			// "...causes the client-side ORB to retransmit its last request
 			// over the new connection." The interceptor has already swapped
 			// the underlying transport; we simply resend.
-			o.stats.Retransmissions++
-			o.orb.tel.Retransmitted(o.tgt.addr)
+			o.retransmissions.Add(1)
+			o.orb.tel.Retransmitted(mc.addr)
 		}
 	}
-	o.dropConnLocked()
 	return giop.CommFailure(11, giop.CompletedMaybe)
-}
-
-// sendLocked writes the message held in a pooled encoder straight from the
-// encoder's buffer (fragmenting above maxBody when it is positive) and
-// releases it: no connection layer keeps the bytes of a Write it has
-// returned from.
-func (o *ObjectRef) sendLocked(msg *cdr.Encoder, maxBody int) error {
-	err := giop.WriteMessageFragmented(o.conn, msg.Bytes(), maxBody)
-	msg.Release()
-	return err
 }
 
 // replyAction is what an invocation does next after one decoded Reply.
@@ -323,14 +366,12 @@ const (
 	replyDone       replyAction = iota // over: the error (nil on success) goes to the application
 	replyForward                       // LOCATION_FORWARD: rebind to the returned IOR and retransmit
 	replyRetransmit                    // NEEDS_ADDRESSING_MODE: resend the same request
-	replyBroken                        // the stream cannot be trusted any further; the error says why
 )
 
 // settleReply consumes the status-specific body of one Reply and decides the
-// invocation's next step; both client transports call it. It owns d and mb
-// (d borrows mb) and releases each exactly once on every path, before
-// returning. What a forward or a broken stream means for the connection is
-// the calling transport's business.
+// invocation's next step. It owns d and mb (d borrows mb) and releases each
+// exactly once on every path, before returning. What a forward means for the
+// reference's connection is Invoke's business.
 func settleReply(status giop.ReplyStatus, op string, d *cdr.Decoder, mb *giop.MsgBuf,
 	readResult func(*cdr.Decoder) error) (replyAction, giop.IOR, error) {
 	defer mb.Release()
@@ -358,139 +399,71 @@ func settleReply(status giop.ReplyStatus, op string, d *cdr.Decoder, mb *giop.Ms
 	case giop.ReplyLocationForward, giop.ReplyLocationForwardPerm:
 		fwd, err := giop.DecodeIOR(d)
 		if err != nil {
-			return replyBroken, giop.IOR{}, fmt.Errorf("orb: corrupt LOCATION_FORWARD body: %w", err)
+			return replyDone, giop.IOR{}, fmt.Errorf("orb: corrupt LOCATION_FORWARD body: %w", err)
 		}
 		return replyForward, fwd, nil
 	case giop.ReplyNeedsAddressingMode:
 		return replyRetransmit, giop.IOR{}, nil
 	default:
-		return replyBroken, giop.IOR{}, &giop.SystemException{RepoID: giop.RepoInternal, Minor: 21, Completed: giop.CompletedMaybe}
+		return replyDone, giop.IOR{}, &giop.SystemException{RepoID: giop.RepoInternal, Minor: 21, Completed: giop.CompletedMaybe}
 	}
 }
 
 // InvokeOneWay sends a request without expecting a reply (a CORBA oneway
 // operation). Delivery is best-effort, as the standard specifies.
 func (o *ObjectRef) InvokeOneWay(op string, writeArgs func(*cdr.Encoder)) error {
-	if o.orb.pool != nil {
-		return o.oneWayPooled(op, writeArgs)
+	if o.orb.pool == nil {
+		o.serial.Lock()
+		defer o.serial.Unlock()
 	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.stats.Invocations++
-	if err := o.connectLocked(); err != nil {
+	o.invocations.Add(1)
+	mc, rq, key, err := o.enter(false)
+	if err != nil {
 		return err
 	}
-	reqID := o.nextID
-	o.nextID++
-	if err := o.sendLocked(giop.EncodeRequestPooled(o.orb.order, giop.RequestHeader{
-		RequestID:        reqID,
-		ResponseExpected: false,
-		ObjectKey:        o.tgt.key,
-		Operation:        op,
-	}, writeArgs), o.orb.maxBody); err != nil {
-		o.dropConnLocked()
-		return giop.CommFailure(14, giop.CompletedMaybe)
-	}
-	return nil
+	return mc.send(rq, func(reqID uint32) *cdr.Encoder {
+		return giop.EncodeRequestPooled(o.orb.order, giop.RequestHeader{
+			RequestID:        reqID,
+			ResponseExpected: false,
+			ObjectKey:        key,
+			Operation:        op,
+		}, writeArgs)
+	})
 }
 
-// Locate issues a GIOP LocateRequest for the reference's object. An
-// OBJECT_FORWARD answer retargets the reference, mirroring the ORB's
-// LOCATION_FORWARD handling.
+// Locate issues a GIOP LocateRequest for the reference's object; its answer
+// is matched to it by request id exactly like a Reply. An OBJECT_FORWARD
+// answer retargets the reference, mirroring the ORB's LOCATION_FORWARD
+// handling.
 func (o *ObjectRef) Locate() (giop.LocateStatus, error) {
-	if o.orb.pool != nil {
-		return o.locatePooled()
+	if o.orb.pool == nil {
+		o.serial.Lock()
+		defer o.serial.Unlock()
 	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if err := o.connectLocked(); err != nil {
+	mc, rq, key, err := o.enter(true)
+	if err != nil {
 		return 0, err
 	}
-	reqID := o.nextID
-	o.nextID++
-	// A LocateRequest is never fragmented (GIOP 1.1 fragments Requests and
-	// Replies only).
-	if err := o.sendLocked(giop.EncodeLocateRequestPooled(o.orb.order, giop.LocateRequestHeader{
-		RequestID: reqID,
-		ObjectKey: o.tgt.key,
-	}), 0); err != nil {
-		o.dropConnLocked()
-		return 0, giop.CommFailure(15, giop.CompletedMaybe)
-	}
-	h, mb, err := giop.ReadMessagePooled(o.rd)
+	hdr, mb, err := mc.roundTrip(rq, func(reqID uint32) *cdr.Encoder {
+		return giop.EncodeLocateRequestPooled(o.orb.order, giop.LocateRequestHeader{
+			RequestID: reqID,
+			ObjectKey: key,
+		})
+	})
 	if err != nil {
-		o.dropConnLocked()
 		return 0, giop.CommFailure(16, giop.CompletedMaybe)
 	}
-	status, fwd, err := settleLocateReply(h, mb)
+	// The status and the OBJECT_FORWARD IOR (nil otherwise) are copied out.
+	defer mb.Release()
+	if hdr.Type != giop.MsgLocateReply {
+		return 0, &giop.SystemException{RepoID: giop.RepoInternal, Minor: 23, Completed: giop.CompletedMaybe}
+	}
+	lh, fwd, err := giop.DecodeLocateReply(hdr.Order, mb.Bytes())
 	if err != nil {
-		o.dropConnLocked()
-		return 0, err
+		return 0, fmt.Errorf("orb: corrupt locate reply: %w", err)
 	}
 	if fwd != nil {
-		o.dropConnLocked()
-		o.tgt = resolveTarget(*fwd)
-		o.stats.Forwards++
+		o.follow(mc, *fwd)
 	}
-	return status, nil
-}
-
-// settleLocateReply decodes the answer to a LocateRequest for both client
-// transports, releasing mb: the status and the OBJECT_FORWARD IOR (nil for
-// every other status) are fully copied out of the body.
-func settleLocateReply(h giop.Header, mb *giop.MsgBuf) (giop.LocateStatus, *giop.IOR, error) {
-	defer mb.Release()
-	if h.Type != giop.MsgLocateReply {
-		return 0, nil, &giop.SystemException{RepoID: giop.RepoInternal, Minor: 23, Completed: giop.CompletedMaybe}
-	}
-	hdr, fwd, err := giop.DecodeLocateReply(h.Order, mb.Bytes())
-	if err != nil {
-		return 0, nil, fmt.Errorf("orb: corrupt locate reply: %w", err)
-	}
-	return hdr.Status, fwd, nil
-}
-
-// maxStaleReplies bounds how many mismatched-request-id replies one
-// invocation will discard before declaring the stream desynced.
-const maxStaleReplies = 32
-
-// readReplyLocked reads messages until the Reply for reqID arrives and
-// returns its header with a decoder positioned at the status-specific body;
-// the caller owns the decoder and the pooled buffer both borrow. Read errors
-// (EOF from a crashed server) surface as COMM_FAILURE, which takes "about
-// 1.8 ms to register at the client" in the paper's reactive runs. After any
-// error the stream is out of step and must be dropped.
-func (o *ObjectRef) readReplyLocked(reqID uint32) (giop.ReplyHeader, *cdr.Decoder, *giop.MsgBuf, error) {
-	for skips := 0; ; skips++ {
-		h, mb, err := giop.ReadMessagePooled(o.rd)
-		if err != nil {
-			return giop.ReplyHeader{}, nil, nil, giop.CommFailure(12, giop.CompletedMaybe)
-		}
-		if h.Type != giop.MsgReply {
-			mb.Release()
-			if h.Type == giop.MsgCloseConnection {
-				return giop.ReplyHeader{}, nil, nil, giop.CommFailure(13, giop.CompletedNo)
-			}
-			// LocateReply/MessageError are unexpected on this path.
-			return giop.ReplyHeader{}, nil, nil, &giop.SystemException{RepoID: giop.RepoInternal, Minor: 22, Completed: giop.CompletedMaybe}
-		}
-		rh, d, err := giop.DecodeReply(h.Order, mb.Bytes()) // releases d itself on failure
-		if err != nil {
-			mb.Release()
-			return giop.ReplyHeader{}, nil, nil, fmt.Errorf("orb: corrupt reply: %w", err)
-		}
-		if rh.RequestID == reqID {
-			return rh, d, mb, nil
-		}
-		// A stale request id: the late reply to a request this reference
-		// already retransmitted, or a wire-duplicated frame. GIOP replies
-		// carry the id precisely so mismatched ones can be discarded; bound
-		// the skips so a desynced stream still surfaces an error.
-		d.Release()
-		mb.Release()
-		o.orb.tel.StaleReply()
-		if skips >= maxStaleReplies {
-			return giop.ReplyHeader{}, nil, nil, &giop.SystemException{RepoID: giop.RepoInternal, Minor: 20, Completed: giop.CompletedMaybe}
-		}
-	}
+	return lh.Status, nil
 }

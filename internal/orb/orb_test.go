@@ -223,20 +223,6 @@ func TestUnknownObjectKey(t *testing.T) {
 	}
 }
 
-func TestCrashRaisesCommFailureMidStream(t *testing.T) {
-	s, _ := startServer(t)
-	o := objectFor(t, s)
-	if _, err := invokeTime(o); err != nil {
-		t.Fatal(err)
-	}
-	s.Crash()
-	_, err := invokeTime(o)
-	var se *giop.SystemException
-	if !errors.As(err, &se) || se.RepoID != giop.RepoCommFailure {
-		t.Fatalf("post-crash err = %v, want COMM_FAILURE", err)
-	}
-}
-
 func TestConnectRefusedRaisesTransient(t *testing.T) {
 	// A reference to a dead endpoint (stale cache entry) raises TRANSIENT.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -313,58 +299,6 @@ func TestLocationForwardTransparentRetransmit(t *testing.T) {
 	wantAddr, _ := fwdIOR.Addr()
 	if gotAddr != wantAddr {
 		t.Fatalf("reference addr = %s, want %s", gotAddr, wantAddr)
-	}
-}
-
-func TestForwardLoopBounded(t *testing.T) {
-	// A server that forwards to itself forever must not loop: the ORB
-	// gives up after maxForwards and raises COMM_FAILURE.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	selfIOR, err := giop.NewIORForAddr(typeID, ln.Addr().String(), clockKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(c net.Conn) {
-				defer c.Close()
-				for {
-					h, body, err := giop.ReadMessage(c)
-					if err != nil {
-						return
-					}
-					hdr, _, err := giop.DecodeRequest(h.Order, body)
-					if err != nil {
-						return
-					}
-					reply := giop.EncodeReply(cdr.BigEndian,
-						giop.ReplyHeader{RequestID: hdr.RequestID, Status: giop.ReplyLocationForward},
-						func(e *cdr.Encoder) { giop.EncodeIOR(e, selfIOR) })
-					if _, err := c.Write(reply); err != nil {
-						return
-					}
-				}
-			}(conn)
-		}
-	}()
-
-	o := NewClient(WithMaxForwards(3)).Object(selfIOR)
-	defer o.Close()
-	err = o.Invoke("time_of_day", nil, nil)
-	var se *giop.SystemException
-	if !errors.As(err, &se) || se.RepoID != giop.RepoCommFailure {
-		t.Fatalf("err = %v, want COMM_FAILURE after forward limit", err)
-	}
-	if st := o.Stats(); st.Forwards != 4 { // attempts 0..3 each forwarded
-		t.Fatalf("forwards = %d", st.Forwards)
 	}
 }
 
@@ -494,41 +428,6 @@ func TestLocateUnknownObject(t *testing.T) {
 	}
 }
 
-func TestOneWayInvocation(t *testing.T) {
-	s, servant := startServer(t)
-	o := objectFor(t, s)
-	if err := o.InvokeOneWay("time_of_day", nil); err != nil {
-		t.Fatal(err)
-	}
-	// Oneway has no reply; a subsequent two-way call on the same
-	// connection confirms the stream stayed aligned.
-	if _, err := invokeTime(o); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		select {
-		case <-servant.called:
-		case <-time.After(5 * time.Second):
-			t.Fatalf("servant calls = %d, want 2", servant.calls.Load())
-		}
-	}
-	if st := o.Stats(); st.Invocations != 2 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestLocateAgainstDeadServer(t *testing.T) {
-	s, _ := startServer(t)
-	o := objectFor(t, s)
-	if _, err := o.Locate(); err != nil {
-		t.Fatal(err)
-	}
-	s.Crash()
-	if _, err := o.Locate(); err == nil {
-		t.Fatal("locate against dead server succeeded")
-	}
-}
-
 func TestServerRejectsGarbageStream(t *testing.T) {
 	s, _ := startServer(t)
 	conn, err := net.Dial("tcp", s.Addr())
@@ -614,35 +513,6 @@ func TestServerRejectsUnknownMessageType(t *testing.T) {
 	}
 }
 
-func TestClientRejectsCorruptReply(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		if _, _, err := giop.ReadMessage(conn); err != nil {
-			return
-		}
-		// Valid framing, corrupt Reply body.
-		_, _ = conn.Write(giop.EncodeMessage(cdr.BigEndian, giop.MsgReply, []byte{1, 2}))
-	}()
-	ior, err := giop.NewIORForAddr(typeID, ln.Addr().String(), clockKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := NewClient().Object(ior)
-	defer o.Close()
-	if err := o.Invoke("time_of_day", nil, nil); err == nil {
-		t.Fatal("corrupt reply accepted")
-	}
-}
-
 func TestConcurrentObjectRefs(t *testing.T) {
 	// Multiple independent references (each its own connection) may
 	// invoke concurrently against one server.
@@ -674,38 +544,6 @@ func TestConcurrentObjectRefs(t *testing.T) {
 	}
 	if servant.calls.Load() != n*20 {
 		t.Fatalf("servant calls = %d, want %d", servant.calls.Load(), n*20)
-	}
-}
-
-func TestFragmentedInvocationEndToEnd(t *testing.T) {
-	// Both directions fragmented: a large echo through a server and
-	// client configured with small fragment sizes.
-	s := NewServer(WithServerMaxBodyBytes(128))
-	servant := &echoServant{called: make(chan struct{}, 64)}
-	s.Register(clockKey, servant)
-	if err := s.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = s.Close() })
-	o := objectFor(t, s, WithClientMaxBodyBytes(128))
-
-	payload := strings.Repeat("fragmentation!", 200) // ~2.8 KB
-	var got string
-	err := o.Invoke("echo", func(e *cdr.Encoder) {
-		e.WriteString(payload)
-	}, func(d *cdr.Decoder) error {
-		v, err := d.ReadString()
-		got = v
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != payload {
-		t.Fatalf("fragmented echo corrupted: %d bytes vs %d", len(got), len(payload))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -36,96 +37,6 @@ func invokeEcho(o *ObjectRef, s string) (string, error) {
 		return err
 	})
 	return got, err
-}
-
-// reverseStub accepts one connection, collects n echo requests, and answers
-// them in REVERSE arrival order — legal under GIOP, where replies carry the
-// request id and may be arbitrarily interleaved.
-func reverseStub(t *testing.T, n int) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = ln.Close() })
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		type req struct {
-			id  uint32
-			arg string
-		}
-		var reqs []req
-		for len(reqs) < n {
-			h, body, err := giop.ReadMessage(conn)
-			if err != nil || h.Type != giop.MsgRequest {
-				return
-			}
-			hdr, args, err := giop.DecodeRequest(h.Order, body)
-			if err != nil {
-				return
-			}
-			arg, err := args.ReadString()
-			if err != nil {
-				return
-			}
-			reqs = append(reqs, req{id: hdr.RequestID, arg: arg})
-		}
-		for i := len(reqs) - 1; i >= 0; i-- {
-			r := reqs[i]
-			reply := giop.EncodeReply(cdr.BigEndian,
-				giop.ReplyHeader{RequestID: r.id, Status: giop.ReplyNoException},
-				func(e *cdr.Encoder) { e.WriteString(r.arg) })
-			if _, err := conn.Write(reply); err != nil {
-				return
-			}
-		}
-		// Hold the connection open until the test tears the listener down.
-		_, _, _ = giop.ReadMessage(conn)
-	}()
-	return ln.Addr().String()
-}
-
-// TestPooledOutOfOrderReplies drives n concurrent callers through one shared
-// connection against a server that replies strictly in reverse order; every
-// caller must still receive the reply matching its own request id.
-func TestPooledOutOfOrderReplies(t *testing.T) {
-	const n = 8
-	addr := reverseStub(t, n)
-	ior, err := giop.NewIORForAddr(typeID, addr, clockKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewClient(WithConnectionPool())
-	defer c.Close()
-	o := c.Object(ior)
-
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			want := fmt.Sprintf("caller-%d", i)
-			got, err := invokeEcho(o, want)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if got != want {
-				errs[i] = fmt.Errorf("caller %d got %q, want %q", i, got, want)
-			}
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
 }
 
 // TestPooledConcurrentStress hammers one shared connection from many
@@ -211,43 +122,20 @@ func TestPooledLocationForward(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
+	staleIOR := stubServer(t, func(_ giop.IOR, conn net.Conn) {
 		for {
-			conn, err := ln.Accept()
-			if err != nil {
+			hdr, ok := readRequest(conn)
+			if !ok {
 				return
 			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				for {
-					h, body, err := giop.ReadMessage(conn)
-					if err != nil || h.Type != giop.MsgRequest {
-						return
-					}
-					hdr, _, err := giop.DecodeRequest(h.Order, body)
-					if err != nil {
-						return
-					}
-					reply := giop.EncodeReply(cdr.BigEndian,
-						giop.ReplyHeader{RequestID: hdr.RequestID, Status: giop.ReplyLocationForward},
-						func(e *cdr.Encoder) { giop.EncodeIOR(e, realIOR) })
-					if _, err := conn.Write(reply); err != nil {
-						return
-					}
-				}
-			}(conn)
+			reply := giop.EncodeReply(cdr.BigEndian,
+				giop.ReplyHeader{RequestID: hdr.RequestID, Status: giop.ReplyLocationForward},
+				func(e *cdr.Encoder) { giop.EncodeIOR(e, realIOR) })
+			if _, err := conn.Write(reply); err != nil {
+				return
+			}
 		}
-	}()
-
-	staleIOR, err := giop.NewIORForAddr(typeID, ln.Addr().String(), clockKey)
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 	c := NewClient(WithConnectionPool())
 	defer c.Close()
 	o := c.Object(staleIOR)
@@ -272,29 +160,14 @@ func TestPooledLocationForward(t *testing.T) {
 // promptly instead of hanging.
 func TestPooledFailAllInFlight(t *testing.T) {
 	const n = 4
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		// Swallow n requests without replying, then drop the connection.
+	// Swallow n requests without replying, then drop the connection.
+	ior := stubServer(t, func(_ giop.IOR, conn net.Conn) {
 		for i := 0; i < n; i++ {
-			if _, _, err := giop.ReadMessage(conn); err != nil {
-				break
+			if _, ok := readRequest(conn); !ok {
+				return
 			}
 		}
-		_ = conn.Close()
-	}()
-
-	ior, err := giop.NewIORForAddr(typeID, ln.Addr().String(), clockKey)
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 	c := NewClient(WithConnectionPool())
 	defer c.Close()
 	o := c.Object(ior)
@@ -310,8 +183,7 @@ func TestPooledFailAllInFlight(t *testing.T) {
 	for i := 0; i < n; i++ {
 		select {
 		case err := <-done:
-			var se *giop.SystemException
-			if !errors.As(err, &se) || se.RepoID != giop.RepoCommFailure {
+			if !isCommFailure(err) {
 				t.Fatalf("caller error = %v, want COMM_FAILURE", err)
 			}
 		case <-deadline:
@@ -320,129 +192,6 @@ func TestPooledFailAllInFlight(t *testing.T) {
 	}
 	if got := c.PooledConnections(); got != 0 {
 		t.Fatalf("dead connection still pooled (%d)", got)
-	}
-}
-
-// TestReplyChannelsAreReused: a connection's reply channels come from its
-// free list and go back to it. 64 callers in flight at once take 64 channels;
-// the next 64, in flight when the connection dies, must take those same 64
-// and no others, every caller gets exactly one COMM_FAILURE, and every
-// channel is back on the list empty — a second send into one of them (deliver
-// and fail both settling one registration) would leave a stale reply for
-// that channel's next caller.
-func TestReplyChannelsAreReused(t *testing.T) {
-	const n = 64
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		// Answer the first n requests once all of them are in, swallow the
-		// next n, then drop the connection.
-		ids := make([]uint32, 0, n)
-		for i := 0; i < 2*n; i++ {
-			h, body, err := giop.ReadMessage(conn)
-			if err != nil {
-				return
-			}
-			hdr, _, err := giop.DecodeRequest(h.Order, body)
-			if err != nil {
-				return
-			}
-			if ids = append(ids, hdr.RequestID); len(ids) != n {
-				continue
-			}
-			for _, id := range ids {
-				reply := giop.EncodeReply(cdr.BigEndian,
-					giop.ReplyHeader{RequestID: id, Status: giop.ReplyNoException},
-					func(e *cdr.Encoder) { e.WriteString("x") })
-				if _, err := conn.Write(reply); err != nil {
-					return
-				}
-			}
-		}
-	}()
-
-	ior, err := giop.NewIORForAddr(typeID, ln.Addr().String(), clockKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewClient(WithConnectionPool())
-	defer c.Close()
-	o := c.Object(ior)
-	round := func() []error {
-		errs := make([]error, n)
-		var wg sync.WaitGroup
-		for i := 0; i < n; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				_, errs[i] = invokeEcho(o, "x")
-			}()
-		}
-		wg.Wait()
-		return errs
-	}
-	freeList := func(mc *muxConn) map[chan muxReply]bool {
-		mc.mu.Lock()
-		defer mc.mu.Unlock()
-		set := make(map[chan muxReply]bool, len(mc.free))
-		for _, ch := range mc.free {
-			if len(ch) != 0 {
-				t.Errorf("a reply channel on the free list holds %d replies", len(ch))
-			}
-			set[ch] = true
-		}
-		return set
-	}
-
-	for _, err := range round() {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	mc, err := c.pool.get(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := freeList(mc)
-	if len(first) != n {
-		t.Fatalf("%d channels on the free list after %d concurrent calls", len(first), n)
-	}
-	for _, err := range round() {
-		var se *giop.SystemException
-		if !errors.As(err, &se) || se.RepoID != giop.RepoCommFailure {
-			t.Fatalf("caller error = %v, want COMM_FAILURE", err)
-		}
-	}
-	second := freeList(mc)
-	if len(second) != n {
-		t.Fatalf("%d channels on the free list after the connection failed, want the same %d", len(second), n)
-	}
-	for ch := range second {
-		if !first[ch] {
-			t.Fatal("a call allocated a reply channel while the free list held one")
-		}
-	}
-}
-
-// TestPooledLocate exercises LocateRequest demultiplexing on the shared
-// transport.
-func TestPooledLocate(t *testing.T) {
-	s, _ := startServer(t)
-	_, o := pooledObjectFor(t, s)
-	status, err := o.Locate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if status != giop.LocateObjectHere {
-		t.Fatalf("status = %v, want OBJECT_HERE", status)
 	}
 }
 
@@ -502,8 +251,7 @@ func TestPooledCutChaos(t *testing.T) {
 				case err == nil:
 					errCh <- fmt.Errorf("caller %d call %d: cross-wired reply %q != %q", i, k, got, want)
 				default:
-					var se *giop.SystemException
-					if !errors.As(err, &se) || se.RepoID != giop.RepoCommFailure {
+					if !isCommFailure(err) {
 						errCh <- fmt.Errorf("caller %d call %d: %v (want COMM_FAILURE)", i, k, err)
 					}
 					failures.Add(1)
@@ -534,5 +282,283 @@ func TestPooledCutChaos(t *testing.T) {
 	}
 	if got := c.PooledConnections(); got != 1 {
 		t.Fatalf("pooled connections after recovery = %d, want 1", got)
+	}
+}
+
+// TestReplyChannelsAreReused: a connection's reply channels come from its
+// free list and go back to it, whoever did the reading. 64 callers are in
+// flight at once, three times over. The stub answers the first two rounds in
+// an order of its choosing, which decides how the read side travels: answered
+// in arrival order, each caller reads only its own reply and hands the read
+// side on, 63 times a round; in reverse, the first caller reads and delivers
+// everyone's before its own and nobody takes over. Round two must find round
+// one's 64 channels on the list, all empty — a hand-over left behind in one
+// would make that channel's next caller read alongside the real reader — and
+// get its own payloads back. Round three dies with one caller reading and 63
+// waiting: nobody stays blocked, everyone gets exactly one COMM_FAILURE, and
+// the same 64 channels are back, empty.
+func TestReplyChannelsAreReused(t *testing.T) {
+	const n = 64
+	orders := []struct {
+		name string
+		at   func(i int) int // the i-th reply answers the at(i)-th request to arrive
+	}{
+		{"replies in arrival order", func(i int) int { return i }},
+		{"replies in reverse", func(i int) int { return n - 1 - i }},
+		{"odd arrivals answered first", func(i int) int { return (2*i + 1) % (n + 1) }},
+	}
+	for _, order := range orders {
+		t.Run(order.name, func(t *testing.T) {
+			ior := stubServer(t, func(_ giop.IOR, conn net.Conn) {
+				for round := 0; round < 3; round++ {
+					type req struct {
+						id  uint32
+						arg string
+					}
+					reqs := make([]req, 0, n)
+					for len(reqs) < n {
+						h, body, err := giop.ReadMessage(conn)
+						if err != nil {
+							return
+						}
+						hdr, args, err := giop.DecodeRequest(h.Order, body)
+						if err != nil {
+							return
+						}
+						arg, _ := args.ReadString()
+						reqs = append(reqs, req{hdr.RequestID, arg})
+					}
+					if round == 2 {
+						return // swallow the round and drop the connection
+					}
+					for i := range reqs {
+						r := reqs[order.at(i)]
+						reply := giop.EncodeReply(cdr.BigEndian,
+							giop.ReplyHeader{RequestID: r.id, Status: giop.ReplyNoException},
+							func(e *cdr.Encoder) { e.WriteString(r.arg) })
+						if _, err := conn.Write(reply); err != nil {
+							return
+						}
+					}
+				}
+			})
+			c := NewClient(WithConnectionPool())
+			defer c.Close()
+			o := c.Object(ior)
+			round := func(r int) []error {
+				errs := make([]error, n)
+				var wg sync.WaitGroup
+				for i := 0; i < n; i++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						want := fmt.Sprintf("round-%d-caller-%d", r, i)
+						got, err := invokeEcho(o, want)
+						if err == nil && got != want {
+							err = fmt.Errorf("caller %d got %q, want %q", i, got, want)
+						}
+						errs[i] = err
+					}()
+				}
+				done := make(chan struct{})
+				go func() { wg.Wait(); close(done) }()
+				select {
+				case <-done:
+				case <-time.After(10 * time.Second):
+					t.Fatalf("round %d: callers still blocked", r)
+				}
+				return errs
+			}
+			freeList := func(mc *muxConn) map[chan muxReply]bool {
+				mc.mu.Lock()
+				defer mc.mu.Unlock()
+				set := make(map[chan muxReply]bool, len(mc.free))
+				for _, ch := range mc.free {
+					if len(ch) != 0 {
+						t.Errorf("a reply channel on the free list holds %d replies", len(ch))
+					}
+					set[ch] = true
+				}
+				return set
+			}
+
+			var first map[chan muxReply]bool
+			var mc *muxConn
+			for r := 0; r < 2; r++ {
+				for _, err := range round(r) {
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				if r == 0 {
+					mc = o.mc
+					first = freeList(mc)
+				}
+			}
+			if len(first) != n {
+				t.Fatalf("%d channels on the free list after %d concurrent calls", len(first), n)
+			}
+			for _, err := range round(2) {
+				if !isCommFailure(err) {
+					t.Fatalf("caller error = %v, want COMM_FAILURE", err)
+				}
+			}
+			last := freeList(mc)
+			if len(last) != n {
+				t.Fatalf("%d channels on the free list after the connection failed, want the same %d", len(last), n)
+			}
+			for ch := range last {
+				if !first[ch] {
+					t.Fatal("a call allocated a reply channel while the free list held one")
+				}
+			}
+			mc.mu.Lock()
+			reading, inflight := mc.reader != nil, mc.inflight
+			mc.mu.Unlock()
+			if reading || inflight != 0 {
+				t.Fatalf("after the last caller left: reading=%v inflight=%d", reading, inflight)
+			}
+		})
+	}
+}
+
+// TestSharedConnectionHolders: a shared connection is closed by the last
+// reference to let go of it, and not before the requests already on it have
+// their answers.
+func TestSharedConnectionHolders(t *testing.T) {
+	closed := make(chan int, 4)
+	s, servant := startServer(t, WithConnClosedHook(func(active int) { closed <- active }))
+	gate := make(chan struct{})
+	s.Register(giop.MakeObjectKey("timeofday", "slow"), ServantFunc(func(op string, args *cdr.Decoder, result *cdr.Encoder) error {
+		<-gate
+		return servant.Invoke(op, args, result)
+	}))
+	c := NewClient(WithConnectionPool())
+	defer c.Close()
+	fast, _ := s.IORFor(typeID, clockKey)
+	slow, _ := s.IORFor(typeID, giop.MakeObjectKey("timeofday", "slow"))
+	o1, o2 := c.Object(fast), c.Object(slow)
+	if _, err := invokeTime(o1); err != nil {
+		t.Fatal(err)
+	}
+	inFlight := make(chan error, 1)
+	go func() {
+		_, err := invokeTime(o2)
+		inFlight <- err
+	}()
+	// o2's request is on the connection once the server has dispatched it.
+	for s.Served() < 2 {
+		time.Sleep(time.Millisecond)
+	}
+
+	_ = o1.Close()
+	if got := c.PooledConnections(); got != 1 {
+		t.Fatalf("%d pooled connections after one of two holders let go, want 1", got)
+	}
+	_ = o2.Close() // the last holder, with its own request still unanswered
+	if got := c.PooledConnections(); got != 0 {
+		t.Fatalf("%d pooled connections after the last holder let go, want 0", got)
+	}
+	select {
+	case <-closed:
+		t.Fatal("the connection was closed under a request that had no answer yet")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(gate)
+	if err := <-inFlight; err != nil {
+		t.Fatalf("the request in flight when its reference let go: %v", err)
+	}
+	select {
+	case active := <-closed:
+		if active != 0 {
+			t.Fatalf("server still counts %d active connections", active)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the last request off the connection did not close it")
+	}
+	// A reference that let go takes a connection again on its next call.
+	if _, err := invokeTime(o1); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.PooledConnections(); got != 1 {
+		t.Fatalf("%d pooled connections after a released reference called again, want 1", got)
+	}
+}
+
+// TestForwardAwayLeaksNothing is the leak guard for connections nobody reads
+// while they are idle: a pooled reference is forwarded back and forth between
+// two servers 200 times, as under LOCATION_FORWARD rejuvenation. Each
+// forward-away must close the connection left behind (no pool entry, no
+// socket in CLOSE_WAIT), so the pool never holds more than the old and the
+// new one and the process's descriptor count stays flat.
+func TestForwardAwayLeaksNothing(t *testing.T) {
+	if _, err := os.ReadDir("/proc/self/fd"); err != nil {
+		t.Skip("no /proc/self/fd to count descriptors in")
+	}
+	// Each stub answers the first request on a connection and forwards the
+	// second to the other stub.
+	var iors [2]giop.IOR
+	ready := make(chan struct{})
+	for i := range iors {
+		iors[i] = stubServer(t, func(_ giop.IOR, conn net.Conn) {
+			<-ready
+			for served := 0; ; served++ {
+				hdr, ok := readRequest(conn)
+				if !ok {
+					return
+				}
+				rh := giop.ReplyHeader{RequestID: hdr.RequestID, Status: giop.ReplyNoException}
+				body := func(e *cdr.Encoder) { e.WriteLongLong(1) }
+				if served > 0 {
+					rh.Status = giop.ReplyLocationForward
+					body = func(e *cdr.Encoder) { giop.EncodeIOR(e, iors[1-i]) }
+				}
+				if _, err := conn.Write(giop.EncodeReply(cdr.BigEndian, rh, body)); err != nil {
+					return
+				}
+			}
+		})
+	}
+	close(ready)
+	countFDs := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(ents)
+	}
+
+	c := NewClient(WithConnectionPool())
+	defer c.Close()
+	o := c.Object(iors[0])
+	// Every call but the first is the second on its connection: forwarded
+	// away, and answered as the first on a new connection to the other stub.
+	forwardAway := func() {
+		if _, err := invokeTime(o); err != nil {
+			t.Fatal(err)
+		}
+		if got := c.PooledConnections(); got > 2 {
+			t.Fatalf("%d pooled connections, want at most 2", got)
+		}
+	}
+	for i := 0; i < 11; i++ {
+		forwardAway()
+	}
+	before := countFDs()
+	for i := 0; i < 200; i++ {
+		forwardAway()
+	}
+	if st := o.Stats(); st.Forwards != 210 {
+		t.Fatalf("forwards = %d, want 210", st.Forwards)
+	}
+	// The stubs close their ends when they read the client's close; give the
+	// last few a moment.
+	const slack = 4
+	deadline := time.Now().Add(5 * time.Second)
+	for countFDs() > before+slack {
+		if time.Now().After(deadline) {
+			t.Fatalf("descriptors grew from %d to %d over 200 forward-aways", before, countFDs())
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

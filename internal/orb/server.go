@@ -321,7 +321,7 @@ func (s *ServerORB) serveConn(conn net.Conn) {
 			hdr, args, err := giop.DecodeRequest(h.Order, mb.Bytes())
 			if err != nil {
 				mb.Release()
-				_ = cw.writeMessage(giop.EncodeMessage(s.order, giop.MsgMessageError, nil), 0)
+				_ = cw.write(nil, giop.EncodeMessage(s.order, giop.MsgMessageError, nil), 0)
 				return
 			}
 			// serveConn's own wg slot keeps the counter above zero, so this
@@ -348,7 +348,7 @@ func (s *ServerORB) serveConn(conn net.Conn) {
 			// Reply-direction types and anything outside GIOP 1.1's numbering
 			// are a protocol error on a server connection.
 			mb.Release()
-			_ = cw.writeMessage(giop.EncodeMessage(s.order, giop.MsgMessageError, nil), 0)
+			_ = cw.write(nil, giop.EncodeMessage(s.order, giop.MsgMessageError, nil), 0)
 			return
 		}
 	}
@@ -359,7 +359,7 @@ func (s *ServerORB) serveConn(conn net.Conn) {
 func (s *ServerORB) handleLocate(cw *connWriter, h giop.Header, body []byte) error {
 	hdr, err := giop.DecodeLocateRequest(h.Order, body)
 	if err != nil {
-		return cw.writeMessage(giop.EncodeMessage(s.order, giop.MsgMessageError, nil), 0)
+		return cw.write(nil, giop.EncodeMessage(s.order, giop.MsgMessageError, nil), 0)
 	}
 	s.mu.Lock()
 	_, known := s.servants[string(hdr.ObjectKey)]
@@ -370,7 +370,7 @@ func (s *ServerORB) handleLocate(cw *connWriter, h giop.Header, body []byte) err
 	}
 	reply := giop.EncodeLocateReply(s.order,
 		giop.LocateReplyHeader{RequestID: hdr.RequestID, Status: status}, nil)
-	if err := cw.writeMessage(reply, s.maxBody); err != nil {
+	if err := cw.write(nil, reply, s.maxBody); err != nil {
 		return fmt.Errorf("orb: write locate reply: %w", err)
 	}
 	return nil

@@ -85,7 +85,7 @@ func TestSettleReply(t *testing.T) {
 					t.Fatalf("forward = %v, %v; want %v", fwd, err, fwdIOR)
 				}
 			}},
-		{"location forward, corrupt IOR", giop.ReplyLocationForward, truncated, readString, replyBroken,
+		{"location forward, corrupt IOR", giop.ReplyLocationForward, truncated, readString, replyDone,
 			func(t *testing.T, _ giop.IOR, err error) {
 				if err == nil {
 					t.Fatal("corrupt forward IOR accepted")
@@ -97,7 +97,7 @@ func TestSettleReply(t *testing.T) {
 					t.Fatal(err)
 				}
 			}},
-		{"unknown status", giop.ReplyStatus(6), nil, readString, replyBroken,
+		{"unknown status", giop.ReplyStatus(6), nil, readString, replyDone,
 			func(t *testing.T, _ giop.IOR, err error) {
 				var se *giop.SystemException
 				if !errors.As(err, &se) || se.RepoID != giop.RepoInternal || se.Minor != 21 {

@@ -25,7 +25,11 @@ import (
 // path skip the exact-size copy-out. Ownership rules are documented in
 // docs/PROTOCOL.md §10.
 type connWriter struct {
-	conn    net.Conn
+	conn net.Conn
+	// solo marks a connection with one writer at a time by construction (a
+	// client connection owned by one reference, which serializes its calls):
+	// never a second frame to coalesce with — a fact, not a guess from a count.
+	solo    bool
 	pending atomic.Int64
 
 	mu    sync.Mutex
@@ -35,37 +39,38 @@ type connWriter struct {
 	owned []*cdr.Encoder // pooled encoders backing queued segments
 }
 
-// writeMessage queues one pre-rendered message (fragmenting per maxBody)
-// and flushes unless another writer has already committed to following it.
-func (w *connWriter) writeMessage(msg []byte, maxBody int) error {
-	if maxBody > 0 && len(msg)-giop.HeaderLen > maxBody {
-		frames, err := giop.FragmentMessage(msg, maxBody)
-		if err != nil {
-			return err
-		}
-		return w.enqueue(nil, frames...)
-	}
-	return w.enqueue(nil, msg)
-}
-
-// writeEncoder queues the complete message held in a pooled encoder (as
-// returned by the EncodeRequestPooled family). Ownership of e transfers to
-// the writer, which Releases it once the bytes are on the wire — or here,
-// immediately, on the fragmentation fallback and the failed-connection
-// fast path.
-func (w *connWriter) writeEncoder(e *cdr.Encoder, maxBody int) error {
-	msg := e.Bytes()
+// write sends one complete message — msg, backed by the pooled encoder e when
+// e is non-nil (as returned by the EncodeRequestPooled family) — fragmenting
+// it above maxBody when that is positive. Ownership of e transfers to the
+// writer, which Releases it once the bytes are on the wire. The message is
+// queued, and flushed unless another writer has already committed to following
+// it; on a solo connection it goes straight to the transport instead.
+func (w *connWriter) write(e *cdr.Encoder, msg []byte, maxBody int) error {
 	if maxBody > 0 && len(msg)-giop.HeaderLen > maxBody {
 		// Cold path: FragmentMessage copies the chunks into frames that own
 		// their arrays, so the encoder can be recycled right away.
 		frames, err := giop.FragmentMessage(msg, maxBody)
-		e.Release()
+		if e != nil {
+			e.Release()
+		}
 		if err != nil {
 			return err
 		}
 		return w.enqueue(nil, frames...)
 	}
+	if w.solo {
+		_, err := w.conn.Write(msg)
+		if e != nil {
+			e.Release()
+		}
+		return err
+	}
 	return w.enqueue(e, msg)
+}
+
+// writeEncoder writes the message held in a pooled encoder.
+func (w *connWriter) writeEncoder(e *cdr.Encoder, maxBody int) error {
+	return w.write(e, e.Bytes(), maxBody)
 }
 
 // enqueue adds the wire segments of one message (with the encoder backing

@@ -99,6 +99,10 @@ func TestRelaunchOnCrash(t *testing.T) {
 		}
 	}()
 
+	// Join returns with the join written, not sequenced: a manager that joins
+	// ahead of r2 finds it missing from its first view and launches it.
+	waitFor(t, "both replicas to join", func() bool { return len(h.Members(group)) == 2 })
+
 	f := &launchRecorder{}
 	rm, err := New(Config{
 		Member:       dialMember(t, h, "rm"),

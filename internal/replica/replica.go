@@ -171,6 +171,7 @@ type Replica struct {
 	requests atomic.Int64
 
 	exitOnce sync.Once
+	exiting  atomic.Bool // set as exit begins: a dead process answers nothing
 	reason   ExitReason
 	done     chan struct{}
 	loopWG   sync.WaitGroup
@@ -478,6 +479,7 @@ func (r *Replica) maybeRejuvenate() {
 
 func (r *Replica) exit(reason ExitReason) {
 	r.exitOnce.Do(func() {
+		r.exiting.Store(true)
 		r.reason = reason
 		if r.injector != nil {
 			r.injector.Stop()
@@ -517,6 +519,12 @@ func (r *Replica) logf(format string, args ...interface{}) {
 func (r *Replica) deliveryLoop() {
 	viewSize := 0
 	for d := range r.member.Deliveries() {
+		if r.exiting.Load() {
+			// The ORB goes down before the group connection does; a primary
+			// query from a client that just lost it must not be answered
+			// with this replica's own, dead, address.
+			continue
+		}
 		r.mgr.HandleDelivery(d)
 		if d.Kind == gcs.DeliverView {
 			// Re-issue the recovery query when the view grows: a replica

@@ -48,7 +48,18 @@ func startCluster(t *testing.T, scheme ftmgr.Scheme, n int, mutate func(*replica
 	}
 	c := &cluster{t: t, hub: hub, names: names, cfg: cfg}
 	for i := 1; i <= n; i++ {
-		c.launch(i)
+		// Start returns with the join written, not sequenced: wait for it, or a
+		// later replica can overtake this one in the view and the tests' "r1 is
+		// the primary, r2 the next" no longer holds.
+		r := c.launch(i)
+		waitFor(t, r.Name()+" to join", func() bool {
+			for _, m := range hub.Members(cfg.Group()) {
+				if m == r.Name() {
+					return true
+				}
+			}
+			return false
+		})
 	}
 	c.waitMembers(n)
 	return c
