@@ -37,14 +37,17 @@ test:
 ## staying off the sockets, appends per log-file write and per durable-writer
 ## wake-up, a checkpoint never truncating an op it does not cover, Dial calls inside a
 ## MEAD hand-off whose standby is ready (none), wire bytes identical to the
-## recorded parent-side streams, and the zero-allocation guards. `make
+## recorded parent-side streams, SyncLists after a crash view (none) and a join
+## (one), one decode of a durable checkpoint per consuming goroutine, and the
+## zero-allocation guards. `make
 ## test` runs them too, but under -race sync.Pool drops a quarter of its Puts,
 ## which hides an allocation behind the slack the guards then need; here they
 ## run exact.
 perf-guards:
-	$(GO) test -count=1 -run 'AllocsExact|OneWrite|ShareServerWrites|WriteSyscalls|SplitsBatch|ResendsBatch|DoNotAllocate|DispatchAllocatesNothing|GroupCommits|WakesWriterOnce|KeepsUncoveredOps|FlushesConcurrent|HandOffDialsNothing|SequencerNeverCloses|SlowConsumer|WireBytesMatchParent|ReaderDrains|SessionDialsOnce|ReresolveDialsOnlyTheReplica|CloseDoesNotWait' \
+	$(GO) test -count=1 -run 'AllocsExact|OneWrite|ShareServerWrites|WriteSyscalls|SplitsBatch|ResendsBatch|DoNotAllocate|DispatchAllocatesNothing|GroupCommits|WakesWriterOnce|KeepsUncoveredOps|FlushesConcurrent|HandOffDialsNothing|SequencerNeverCloses|SlowConsumer|WireBytesMatchParent|ReaderDrains|SessionDialsOnce|ReresolveDialsOnlyTheReplica|CloseDoesNotWait|CrashViewSendsNoSyncList' \
 		./internal/giop/ ./internal/interceptor/ ./internal/orb/ ./internal/durable/ ./internal/ftmgr/ \
-		./internal/gcs/ ./internal/namesvc/ ./internal/frame/ ./internal/client/ ./internal/experiment/
+		./internal/gcs/ ./internal/namesvc/ ./internal/frame/ ./internal/client/ ./internal/experiment/ \
+		./internal/replica/ ./internal/recovery/
 
 ## chaos-smoke: the deterministic network-chaos suite — the netfault
 ## injector's own tests plus the {scheme × fault-plan} conformance matrix

@@ -24,7 +24,7 @@ import (
 // measured alone on the idle deployment. What a step takes during a
 // fail-over beyond what it takes alone is time the client spent queued
 // behind the crash's aftermath on the same CPU: teardown, the hub's view
-// change, the coordinator's SyncList fan-out, the Recovery Manager.
+// change and every member's handling of it, the Recovery Manager.
 //
 //	go test -count=1 -run TestCrashFailoverTimeline -v ./internal/experiment/
 func TestCrashFailoverTimeline(t *testing.T) {

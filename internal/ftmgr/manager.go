@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 
 	"mead/internal/cdr"
@@ -92,6 +93,11 @@ type Manager struct {
 	// per asker, until the next view: a client that lost the primary asks before
 	// the group agrees it is gone, and whoever that view makes primary answers.
 	held map[string]QueryPrimary
+	// unsynced holds the members that joined since a SyncList last answered
+	// the current view; the coordinator re-sends the listing while it is not
+	// empty. It follows the delivery order, so the members that saw those
+	// joins agree on it (see noteJoinersLocked and applySync).
+	unsynced map[string]bool
 }
 
 // Errors.
@@ -122,6 +128,7 @@ func NewManager(cfg Config) (*Manager, error) {
 		replicas:   make(map[string]Announce),
 		iorsByHash: make(map[uint16]map[string]giop.IOR),
 		held:       make(map[string]QueryPrimary),
+		unsynced:   make(map[string]bool),
 	}, nil
 }
 
@@ -137,6 +144,10 @@ func (m *Manager) AnnounceSelf(addr string, iors []giop.IOR) error {
 func (m *Manager) learn(a Announce) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.learnLocked(a)
+}
+
+func (m *Manager) learnLocked(a Announce) {
 	m.replicas[a.Name] = a
 	for _, ior := range a.IORs {
 		prof, err := ior.IIOP()
@@ -155,13 +166,17 @@ func (m *Manager) learn(a Announce) {
 
 // HandleDelivery processes one GCS event; the replica's event loop calls it
 // for every delivery (the paper folds this into the intercepted select()).
-func (m *Manager) HandleDelivery(d gcs.Delivery) {
+// It returns the message a data or private delivery decoded to (nil for a
+// view, or a payload that is not an FT-manager message), so the caller acts
+// on the rest of it without decoding the payload again.
+func (m *Manager) HandleDelivery(d gcs.Delivery) interface{} {
 	switch d.Kind {
 	case gcs.DeliverView:
 		if d.View.Group != m.cfg.Group {
-			return
+			return nil
 		}
 		m.mu.Lock()
+		prev := m.view.Members
 		m.view = d.View
 		// Purge endpoint entries of departed members: a relaunched
 		// replica re-announces its (new) endpoint after rejoining, and
@@ -179,6 +194,7 @@ func (m *Manager) HandleDelivery(d gcs.Delivery) {
 				}
 			}
 		}
+		m.noteJoinersLocked(prev, inView)
 		isCoordinator := m.primaryNameLocked() == m.cfg.ReplicaName
 		list := make([]Announce, 0, len(m.replicas))
 		for _, member := range d.View.Members {
@@ -191,6 +207,7 @@ func (m *Manager) HandleDelivery(d gcs.Delivery) {
 		held := m.held
 		m.held = make(map[string]QueryPrimary)
 		self, known := m.replicas[m.cfg.ReplicaName]
+		needSync := len(m.unsynced) > 0
 		m.mu.Unlock()
 		if isCoordinator && known {
 			for _, q := range held {
@@ -200,29 +217,73 @@ func (m *Manager) HandleDelivery(d gcs.Delivery) {
 		// "Whenever group-membership changes occur ... the first replica
 		// listed in the Spread group-membership message sends a message
 		// that synchronizes the listing of active servers across the
-		// group."
-		if isCoordinator && len(list) > 0 {
-			_ = m.cfg.Member.Multicast(m.cfg.Group, EncodeSyncList(SyncList{Replicas: list}))
+		// group." Only while a member that joined has not been answered: a
+		// view that only removes members tells every member what it prunes.
+		if isCoordinator && needSync && len(list) > 0 {
+			_ = m.cfg.Member.Multicast(m.cfg.Group, EncodeSyncList(SyncList{View: d.View.ID, Replicas: list}))
 		}
-	case gcs.DeliverData:
+		return nil
+	case gcs.DeliverData, gcs.DeliverPrivate:
 		msg, err := DecodeMessage(d.Payload)
 		if err != nil {
-			return
+			return nil
+		}
+		if d.Kind == gcs.DeliverPrivate {
+			return msg // recovery answers: the caller's to act on
 		}
 		switch v := msg.(type) {
 		case Announce:
 			m.learn(v)
 		case SyncList:
-			for _, a := range v.Replicas {
-				m.learn(a)
-			}
+			m.applySync(v, d.Sender)
 		case QueryPrimary:
 			m.answerPrimaryQuery(v)
 		case RecoveryQuery:
 			m.answerRecoveryQuery(v)
 		}
-	case gcs.DeliverPrivate:
-		// Replicas receive no private messages in the current protocol.
+		return msg
+	}
+	return nil
+}
+
+// noteJoinersLocked updates unsynced for a view whose previous view was prev.
+// A member absent from prev joined since; one that left needs nothing. On its
+// own first view a manager counts no one, itself included: it cannot tell
+// which of the members it finds still wait for the listing, and the members
+// that saw it join count it. So the first replica of a group owes no sync,
+// and a joiner, which knows only itself, sends no list of one.
+func (m *Manager) noteJoinersLocked(prev []string, inView map[string]bool) {
+	for name := range m.unsynced {
+		if !inView[name] {
+			delete(m.unsynced, name)
+		}
+	}
+	if len(prev) == 0 {
+		return
+	}
+	for name := range inView {
+		if !slices.Contains(prev, name) {
+			m.unsynced[name] = true
+		}
+	}
+}
+
+// applySync learns a SyncList's replicas that are still in the view. It marks
+// the listing synchronized only if the list answers the current view and its
+// sender is not one of the unsynced joiners: a joiner knows only itself and
+// those who joined after it, so when a later member joins before it has been
+// answered it takes itself for the coordinator and multicasts that partial
+// list. A list built for an older view may predate a join since.
+func (m *Manager) applySync(s SyncList, sender string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if s.View == m.view.ID && !m.unsynced[sender] {
+		clear(m.unsynced)
+	}
+	for _, a := range s.Replicas {
+		if slices.Contains(m.view.Members, a.Name) {
+			m.learnLocked(a)
+		}
 	}
 }
 

@@ -33,9 +33,11 @@ type Announce struct {
 	IORs []giop.IOR
 }
 
-// SyncList redistributes the full replica listing; the first replica in a
-// new view sends it to synchronize the group after membership changes.
+// SyncList redistributes the full replica listing. The first replica of a
+// view sends it while a member that joined has not yet been answered, naming
+// the view it answers; a view that only removes members sends none.
 type SyncList struct {
+	View     uint64
 	Replicas []Announce
 }
 
@@ -140,6 +142,7 @@ func EncodeAnnounce(a Announce) []byte {
 func EncodeSyncList(s SyncList) []byte {
 	e := cdr.NewEncoder(cdr.BigEndian)
 	e.WriteOctet(kindSync)
+	e.WriteULongLong(s.View)
 	e.WriteULong(uint32(len(s.Replicas)))
 	for _, a := range s.Replicas {
 		encodeAnnounceBody(e, a)
@@ -216,6 +219,10 @@ func DecodeMessage(payload []byte) (interface{}, error) {
 	case kindAnnounce:
 		return decodeAnnounceBody(d)
 	case kindSync:
+		var s SyncList
+		if s.View, err = d.ReadULongLong(); err != nil {
+			return nil, err
+		}
 		n, err := d.ReadULong()
 		if err != nil {
 			return nil, err
@@ -223,7 +230,6 @@ func DecodeMessage(payload []byte) (interface{}, error) {
 		if n > 4096 {
 			return nil, fmt.Errorf("ftmgr: implausible sync size %d", n)
 		}
-		var s SyncList
 		for i := uint32(0); i < n; i++ {
 			a, err := decodeAnnounceBody(d)
 			if err != nil {
@@ -297,4 +303,17 @@ func DecodeMessage(payload []byte) (interface{}, error) {
 	default:
 		return nil, fmt.Errorf("ftmgr: unknown message kind %d", kind)
 	}
+}
+
+// DecodeNotice decodes payload if it is a Notice and reads no further than
+// the kind octet of any other message: a member that acts on notices alone
+// (the Recovery Manager) need not copy the snapshots and listings the group
+// also carries.
+func DecodeNotice(payload []byte) (Notice, bool) {
+	if len(payload) == 0 || payload[0] != kindNotice {
+		return Notice{}, false
+	}
+	msg, err := DecodeMessage(payload)
+	n, ok := msg.(Notice)
+	return n, ok && err == nil
 }

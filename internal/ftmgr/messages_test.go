@@ -32,7 +32,7 @@ func TestAnnounceRoundTrip(t *testing.T) {
 }
 
 func TestSyncListRoundTrip(t *testing.T) {
-	s := SyncList{Replicas: []Announce{
+	s := SyncList{View: 1<<33 + 7, Replicas: []Announce{
 		{Name: "r1", Addr: "a:1", IORs: []giop.IOR{sampleIOR(1)}},
 		{Name: "r2", Addr: "a:2"},
 	}}
@@ -41,7 +41,7 @@ func TestSyncListRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, ok := msg.(SyncList)
-	if !ok || len(got.Replicas) != 2 || got.Replicas[1].Name != "r2" {
+	if !ok || got.View != s.View || len(got.Replicas) != 2 || got.Replicas[1].Name != "r2" {
 		t.Fatalf("sync = %+v", msg)
 	}
 }
@@ -55,6 +55,14 @@ func TestNoticeRoundTrip(t *testing.T) {
 	got, ok := msg.(Notice)
 	if !ok || got != n {
 		t.Fatalf("notice = %+v", msg)
+	}
+	if got, ok := DecodeNotice(EncodeNotice(n)); !ok || got != n {
+		t.Fatalf("DecodeNotice = %+v, %v", got, ok)
+	}
+	for _, other := range [][]byte{nil, EncodeCheckpoint(Checkpoint{From: "r1"}), EncodeNotice(n)[:5]} {
+		if got, ok := DecodeNotice(other); ok {
+			t.Fatalf("DecodeNotice(%x) = %+v", other, got)
+		}
 	}
 }
 

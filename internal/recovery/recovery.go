@@ -186,11 +186,8 @@ func (m *Manager) handle(d gcs.Delivery) {
 			m.reconcile(d.View)
 		}
 	case gcs.DeliverData:
-		msg, err := ftmgr.DecodeMessage(d.Payload)
-		if err != nil {
-			return
-		}
-		if n, ok := msg.(ftmgr.Notice); ok {
+		// Checkpoints, listings and recovery queries pass by undecoded.
+		if n, ok := ftmgr.DecodeNotice(d.Payload); ok {
 			m.onNotice(n)
 		}
 	}

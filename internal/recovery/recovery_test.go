@@ -8,6 +8,7 @@ import (
 
 	"mead/internal/ftmgr"
 	"mead/internal/gcs"
+	"mead/internal/giop"
 )
 
 func startHub(t *testing.T) *gcs.Hub {
@@ -311,6 +312,37 @@ func TestStopCancelsPendingRelaunch(t *testing.T) {
 	time.Sleep(600 * time.Millisecond)
 	if len(f.names()) != 0 {
 		t.Fatalf("launches after Stop = %v", f.names())
+	}
+}
+
+// TestDeliveriesOtherThanNoticesAllocsExact is the Recovery Manager's half of
+// the decode-once guard in `make perf-guards`: it acts on notices alone, so a
+// durable Checkpoint, a SyncList or a recovery query costs it a look at the
+// kind octet. Decoding them in full would copy every snapshot (three
+// allocations for this Checkpoint) and parse every IOR of a listing.
+func TestDeliveriesOtherThanNoticesAllocsExact(t *testing.T) {
+	h := startHub(t)
+	rm, err := New(Config{Member: dialMember(t, h, "rm"), Group: group, ReplicaNames: []string{"r1"}, Factory: &launchRecorder{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	announce := ftmgr.Announce{Name: "r1", Addr: "127.0.0.1:7001", IORs: []giop.IOR{
+		giop.NewIOR("IDL:mead/TimeOfDay:1.0", "127.0.0.1", 7001, giop.MakeObjectKey("timeofday", "clock")),
+	}}
+	for name, payload := range map[string][]byte{
+		"checkpoint":     ftmgr.EncodeCheckpoint(ftmgr.Checkpoint{From: "r1", Seq: 9, Data: make([]byte, 512)}),
+		"sync":           ftmgr.EncodeSyncList(ftmgr.SyncList{View: 3, Replicas: []ftmgr.Announce{announce}}),
+		"recovery query": ftmgr.EncodeRecoveryQuery(ftmgr.RecoveryQuery{From: "r1", OpNumber: 9, Nonce: 1}),
+	} {
+		d := gcs.Delivery{Kind: gcs.DeliverData, Group: group, Sender: "r1", Payload: payload}
+		if got := testing.AllocsPerRun(100, func() { rm.handle(d) }); got != 0 {
+			t.Errorf("a %s delivery allocates %.0f times in the Recovery Manager, want 0", name, got)
+		}
+	}
+	rm.handle(gcs.Delivery{Kind: gcs.DeliverData, Group: group, Sender: "r1",
+		Payload: ftmgr.EncodeNotice(ftmgr.Notice{Replica: "r1", Resource: "memory", Usage: 0.85})})
+	if !rm.forewarned["r1"] {
+		t.Fatal("a notice no longer forewarns the Recovery Manager")
 	}
 }
 

@@ -167,6 +167,7 @@ type Replica struct {
 
 	clientIDs     *cdr.Interner
 	recoveryNonce uint64
+	viewSize      int // members in the last view; the delivery loop's own
 
 	requests atomic.Int64
 
@@ -518,7 +519,6 @@ func (r *Replica) logf(format string, args ...interface{}) {
 // deliveryLoop pumps GCS events into the FT manager, applies incoming
 // state checkpoints, and merges recovery-handshake answers.
 func (r *Replica) deliveryLoop() {
-	viewSize := 0
 	for d := range r.member.Deliveries() {
 		if r.exiting.Load() {
 			// The ORB goes down before the group connection does; a primary
@@ -526,49 +526,49 @@ func (r *Replica) deliveryLoop() {
 			// with this replica's own, dead, address.
 			continue
 		}
-		r.mgr.HandleDelivery(d)
-		if d.Kind == gcs.DeliverView {
-			// Re-issue the recovery query when the view grows: a replica
-			// that cold-restarted before its peers (the whole-group
-			// disaster) queried an empty group, and the joiners may hold
-			// newer checkpoints than its own log tail. The nonce is
-			// unchanged — answers merge forward-only, so re-asking is
-			// idempotent.
-			grew := len(d.View.Members) > viewSize
-			viewSize = len(d.View.Members)
-			if grew && r.store != nil {
-				q := ftmgr.RecoveryQuery{From: r.name, OpNumber: r.state.OpNumber(), Nonce: r.recoveryNonce}
-				_ = r.member.Multicast(r.cfg.Group(), ftmgr.EncodeRecoveryQuery(q))
-			}
+		r.deliver(d)
+	}
+}
+
+// deliver handles one delivery on the delivery loop's goroutine. The payload
+// is decoded once, by the FT manager, which hands back the message.
+func (r *Replica) deliver(d gcs.Delivery) {
+	msg := r.mgr.HandleDelivery(d)
+	if d.Kind == gcs.DeliverView {
+		// Re-issue the recovery query when the view grows: a replica
+		// that cold-restarted before its peers (the whole-group
+		// disaster) queried an empty group, and the joiners may hold
+		// newer checkpoints than its own log tail. The nonce is
+		// unchanged — answers merge forward-only, so re-asking is
+		// idempotent.
+		grew := len(d.View.Members) > r.viewSize
+		r.viewSize = len(d.View.Members)
+		if grew && r.store != nil {
+			q := ftmgr.RecoveryQuery{From: r.name, OpNumber: r.state.OpNumber(), Nonce: r.recoveryNonce}
+			_ = r.member.Multicast(r.cfg.Group(), ftmgr.EncodeRecoveryQuery(q))
 		}
-		if d.Kind != gcs.DeliverData && d.Kind != gcs.DeliverPrivate {
-			continue
+		return
+	}
+	switch v := msg.(type) {
+	case ftmgr.Checkpoint:
+		if v.From == r.name {
+			return
 		}
-		msg, err := ftmgr.DecodeMessage(d.Payload)
-		if err != nil {
-			continue
-		}
-		switch v := msg.(type) {
-		case ftmgr.Checkpoint:
-			if v.From == r.name {
-				continue
-			}
-			if len(v.Data) > 0 {
-				// Durable checkpoint stream: merge the full snapshot
-				// (counter + dedup table) and persist it, so a backup that
-				// later cold-restarts recovers the state it was mirroring.
-				if snap, derr := durable.DecodeSnapshot(v.Data); derr == nil {
-					if r.state.applySnapshot(snap) && r.store != nil {
-						r.state.checkpoint()
-						r.cfg.Telemetry.CheckpointPersisted(r.name)
-					}
+		if len(v.Data) > 0 {
+			// Durable checkpoint stream: merge the full snapshot
+			// (counter + dedup table) and persist it, so a backup that
+			// later cold-restarts recovers the state it was mirroring.
+			if snap, derr := durable.DecodeSnapshot(v.Data); derr == nil {
+				if r.state.applySnapshot(snap) && r.store != nil {
+					r.state.checkpoint()
+					r.cfg.Telemetry.CheckpointPersisted(r.name)
 				}
-			} else {
-				r.state.applyCheckpoint(v.Seq)
 			}
-		case ftmgr.RecoveryState:
-			r.handleRecoveryState(v)
+		} else {
+			r.state.applyCheckpoint(v.Seq)
 		}
+	case ftmgr.RecoveryState:
+		r.handleRecoveryState(v)
 	}
 }
 
