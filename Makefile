@@ -38,13 +38,13 @@ test:
 ## wake-up, a checkpoint never truncating an op it does not cover, Dial calls inside a
 ## MEAD hand-off whose standby is ready (none), wire bytes identical to the
 ## recorded parent-side streams, SyncLists after a crash view (none) and a join
-## (one), one decode of a durable checkpoint per consuming goroutine, and the
-## zero-allocation guards. `make
-## test` runs them too, but under -race sync.Pool drops a quarter of its Puts,
+## (one), recovery queries (one) and answers (one per member) per join, one
+## decode of a checkpoint per consuming goroutine, and the zero-allocation
+## guards. `make test` runs them too, but under -race sync.Pool drops a quarter of its Puts,
 ## which hides an allocation behind the slack the guards then need; here they
 ## run exact.
 perf-guards:
-	$(GO) test -count=1 -run 'AllocsExact|OneWrite|ShareServerWrites|WriteSyscalls|SplitsBatch|ResendsBatch|DoNotAllocate|DispatchAllocatesNothing|GroupCommits|WakesWriterOnce|KeepsUncoveredOps|FlushesConcurrent|HandOffDialsNothing|SequencerNeverCloses|SlowConsumer|WireBytesMatchParent|ReaderDrains|SessionDialsOnce|ReresolveDialsOnlyTheReplica|CloseDoesNotWait|CrashViewSendsNoSyncList' \
+	$(GO) test -count=1 -run 'AllocsExact|OneWrite|ShareServerWrites|WriteSyscalls|SplitsBatch|ResendsBatch|DoNotAllocate|DispatchAllocatesNothing|GroupCommits|WakesWriterOnce|KeepsUncoveredOps|FlushesConcurrent|HandOffDialsNothing|SequencerNeverCloses|SlowConsumer|WireBytesMatchParent|ReaderDrains|SessionDialsOnce|ReresolveDialsOnlyTheReplica|CloseDoesNotWait|CrashViewSendsNoSyncList|JoinCostsOneAnswerPerMember' \
 		./internal/giop/ ./internal/interceptor/ ./internal/orb/ ./internal/durable/ ./internal/ftmgr/ \
 		./internal/gcs/ ./internal/namesvc/ ./internal/frame/ ./internal/client/ ./internal/experiment/ \
 		./internal/replica/ ./internal/recovery/
@@ -66,10 +66,12 @@ metrics-smoke:
 ## (the perf guards on appends per write and wake-up and the
 ## uncovered-op checkpoint regression among them) plus the disaster chaos
 ## suite (kill-all cold restart, torn-tail and corrupted-record truncation,
-## restart-time at-most-once), race-enabled,
-## then a real multi-process kill-all drill over -statedir.
+## restart-time at-most-once) and the replica and FT-manager packages, whose
+## tests cover state transfer (checkpoints and the recovery handshake over a
+## real hub), race-enabled, then a real multi-process kill-all drill over
+## -statedir.
 dr-smoke:
-	$(GO) test -race -count=1 ./internal/durable/
+	$(GO) test -race -count=1 ./internal/durable/ ./internal/replica/ ./internal/ftmgr/
 	$(GO) test -race -count=1 -run 'Disaster' ./internal/experiment/
 	sh scripts/dr_smoke.sh
 

@@ -158,9 +158,9 @@ func DecodeLogRecord(b []byte) (Op, int, error) {
 	return op, frameOverhead + n, nil
 }
 
-// EncodeSnapshot renders a snapshot payload (unframed). The same payload
-// travels in three places: the checkpoint file, the warm-passive Checkpoint
-// multicast's Data field, and the RecoveryState handshake answer.
+// EncodeSnapshot renders a snapshot payload (unframed). The same payload is
+// the checkpoint file's and the Data of every state-transfer message: the
+// warm-passive Checkpoint, the RecoveryQuery and its RecoveryState answers.
 func EncodeSnapshot(s Snapshot) []byte {
 	size := 1 + 8 + 8 + 4
 	for _, e := range s.Dedup {

@@ -97,9 +97,6 @@ type Scenario struct {
 	// handshake) on relaunch. Booting a second deployment over the same
 	// StateDir is a cold restart from disk.
 	StateDir string
-	// DurableCheckpointBytes overrides the durable checkpoint threshold
-	// (replica.DefaultDurableCheckpointBytes when zero).
-	DurableCheckpointBytes int64
 	// DurableChaos schedules deterministic durable-I/O faults (torn
 	// writes, corrupted records, fsync failures) keyed per replica on its
 	// append/sync ordinals. The injector is seeded from Seed^0x6472 so one
@@ -292,23 +289,22 @@ func newDeployment(sc Scenario, extraHubOpts ...gcs.HubOption) (*Deployment, err
 	}
 
 	d.svcCfg = replica.ServiceConfig{
-		Service:                "timeofday",
-		HubAddr:                d.hub.Addr(),
-		NamesAddr:              d.names.Addr(),
-		Scheme:                 sc.Scheme,
-		LaunchThreshold:        sc.LaunchThreshold,
-		MigrateThreshold:       sc.Threshold,
-		Fault:                  sc.Fault,
-		InjectFault:            sc.InjectFault,
-		CheckpointEvery:        sc.CheckpointEvery,
-		AdaptiveLeadTime:       sc.AdaptiveLeadTime,
-		MonitorInterval:        sc.MonitorInterval,
-		Objects:                sc.Objects,
-		Logf:                   sc.Logf,
-		Telemetry:              d.tel,
-		StateDir:               sc.StateDir,
-		DurableCheckpointBytes: sc.DurableCheckpointBytes,
-		DurableFaults:          d.disk,
+		Service:          "timeofday",
+		HubAddr:          d.hub.Addr(),
+		NamesAddr:        d.names.Addr(),
+		Scheme:           sc.Scheme,
+		LaunchThreshold:  sc.LaunchThreshold,
+		MigrateThreshold: sc.Threshold,
+		Fault:            sc.Fault,
+		InjectFault:      sc.InjectFault,
+		CheckpointEvery:  sc.CheckpointEvery,
+		AdaptiveLeadTime: sc.AdaptiveLeadTime,
+		MonitorInterval:  sc.MonitorInterval,
+		Objects:          sc.Objects,
+		Logf:             sc.Logf,
+		Telemetry:        d.tel,
+		StateDir:         sc.StateDir,
+		DurableFaults:    d.disk,
 	}
 
 	names := make([]string, 0, sc.Replicas)

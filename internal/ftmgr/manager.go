@@ -68,12 +68,6 @@ type Config struct {
 	// Telemetry, when set, records threshold crossings as recovery-trace
 	// events (with the usage percentage as the event value).
 	Telemetry *telemetry.Telemetry
-	// RecoverySnapshot, when set, returns this replica's current durable
-	// snapshot payload (internal/durable encoding; opaque here). The
-	// manager uses it to answer RecoveryQuery messages from restarting
-	// group members — the serving half of the recovery handshake. Nil
-	// leaves recovery queries unanswered by this replica.
-	RecoverySnapshot func() []byte
 }
 
 // Manager is the server-side Proactive Fault-Tolerance Manager instance
@@ -238,8 +232,6 @@ func (m *Manager) HandleDelivery(d gcs.Delivery) interface{} {
 			m.applySync(v, d.Sender)
 		case QueryPrimary:
 			m.answerPrimaryQuery(v)
-		case RecoveryQuery:
-			m.answerRecoveryQuery(v)
 		}
 		return msg
 	}
@@ -305,26 +297,6 @@ func (m *Manager) answerPrimaryQuery(q QueryPrimary) {
 func (m *Manager) sendPrimaryIs(q QueryPrimary, self Announce) {
 	_ = m.cfg.Member.Send(q.ReplyTo, EncodePrimaryIs(PrimaryIs{
 		Name: self.Name, Addr: self.Addr, IORs: self.IORs,
-	}))
-}
-
-// answerRecoveryQuery sends the replica's current snapshot privately to a
-// restarting member. Every member holding state answers (not only the
-// primary): the recovering replica merges forward-only, so redundant
-// answers are harmless and the handshake survives the primary itself being
-// mid-restart.
-func (m *Manager) answerRecoveryQuery(q RecoveryQuery) {
-	if m.cfg.RecoverySnapshot == nil || q.From == m.cfg.ReplicaName {
-		return
-	}
-	data := m.cfg.RecoverySnapshot()
-	if len(data) == 0 {
-		return
-	}
-	_ = m.cfg.Member.Send(q.From, EncodeRecoveryState(RecoveryState{
-		From:  m.cfg.ReplicaName,
-		Nonce: q.Nonce,
-		Data:  data,
 	}))
 }
 

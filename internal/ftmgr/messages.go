@@ -64,36 +64,31 @@ type PrimaryIs struct {
 	IORs []giop.IOR
 }
 
-// Checkpoint carries warm-passive state from the primary to the backups.
-// Data, when non-empty, is the durable snapshot payload (encoded by
-// internal/durable; opaque to ftmgr) that lets backups persist received
-// state; Seq alone is the legacy in-memory counter transfer.
+// Checkpoint, RecoveryQuery and RecoveryState are the three state-transfer
+// messages. Each carries its sender's snapshot in Data (internal/durable
+// encodes it; opaque to ftmgr), and all three share one body layout: From,
+// Nonce (zero in a Checkpoint), Data.
+//
+// Checkpoint is warm-passive state transfer from the primary to the backups.
 type Checkpoint struct {
 	From string
-	Seq  uint64
 	Data []byte
 }
 
 // RecoveryQuery is the VSR-style status message a restarting replica
-// multicasts to the group after replaying its local log: "my state reaches
-// OpNumber; send me anything newer." Nonce ties answers to this
-// incarnation's query so stale responses addressed to an earlier
-// incarnation are discarded (the SNIPPETS.md RecoveryProtocol exemplar).
+// multicasts to the group after replaying its local log: "my state is Data."
+// Nonce ties answers to this incarnation's query so stale responses addressed
+// to an earlier incarnation are discarded (the SNIPPETS.md RecoveryProtocol
+// exemplar).
 type RecoveryQuery struct {
-	From     string
-	OpNumber uint64
-	Nonce    uint64
-}
-
-// RecoveryState answers a RecoveryQuery with a private message: the
-// responder's current durable snapshot payload (opaque to ftmgr;
-// internal/durable owns the encoding). The recovering replica merges every
-// answer forward-only, so responses from multiple members are safe.
-type RecoveryState struct {
 	From  string
 	Nonce uint64
 	Data  []byte
 }
+
+// RecoveryState answers a RecoveryQuery privately with the responder's
+// snapshot, echoing the query's nonce.
+type RecoveryState RecoveryQuery
 
 func encodeAnnounceBody(e *cdr.Encoder, a Announce) {
 	e.WriteString(a.Name)
@@ -177,32 +172,25 @@ func EncodePrimaryIs(p PrimaryIs) []byte {
 }
 
 // EncodeCheckpoint renders a state-transfer payload.
-func EncodeCheckpoint(c Checkpoint) []byte {
-	e := cdr.NewEncoder(cdr.BigEndian)
-	e.WriteOctet(kindCheckpoint)
-	e.WriteString(c.From)
-	e.WriteULongLong(c.Seq)
-	e.WriteOctets(c.Data)
-	return e.Bytes()
-}
+func EncodeCheckpoint(c Checkpoint) []byte { return encodeState(kindCheckpoint, c.From, 0, c.Data) }
 
 // EncodeRecoveryQuery renders a recovery status-query payload.
 func EncodeRecoveryQuery(q RecoveryQuery) []byte {
-	e := cdr.NewEncoder(cdr.BigEndian)
-	e.WriteOctet(kindRecoveryQuery)
-	e.WriteString(q.From)
-	e.WriteULongLong(q.OpNumber)
-	e.WriteULongLong(q.Nonce)
-	return e.Bytes()
+	return encodeState(kindRecoveryQuery, q.From, q.Nonce, q.Data)
 }
 
 // EncodeRecoveryState renders a recovery-handshake answer payload.
 func EncodeRecoveryState(s RecoveryState) []byte {
+	return encodeState(kindRecoveryState, s.From, s.Nonce, s.Data)
+}
+
+// encodeState renders the body the three state-transfer messages share.
+func encodeState(kind byte, from string, nonce uint64, data []byte) []byte {
 	e := cdr.NewEncoder(cdr.BigEndian)
-	e.WriteOctet(kindRecoveryState)
-	e.WriteString(s.From)
-	e.WriteULongLong(s.Nonce)
-	e.WriteOctets(s.Data)
+	e.WriteOctet(kind)
+	e.WriteString(from)
+	e.WriteULongLong(nonce)
+	e.WriteOctets(data)
 	return e.Bytes()
 }
 
@@ -264,32 +252,8 @@ func DecodeMessage(payload []byte) (interface{}, error) {
 			return nil, err
 		}
 		return PrimaryIs{Name: a.Name, Addr: a.Addr, IORs: a.IORs}, nil
-	case kindCheckpoint:
-		var c Checkpoint
-		if c.From, err = d.ReadString(); err != nil {
-			return nil, err
-		}
-		if c.Seq, err = d.ReadULongLong(); err != nil {
-			return nil, err
-		}
-		if c.Data, err = d.ReadOctets(); err != nil {
-			return nil, err
-		}
-		return c, nil
-	case kindRecoveryQuery:
-		var q RecoveryQuery
-		if q.From, err = d.ReadString(); err != nil {
-			return nil, err
-		}
-		if q.OpNumber, err = d.ReadULongLong(); err != nil {
-			return nil, err
-		}
-		if q.Nonce, err = d.ReadULongLong(); err != nil {
-			return nil, err
-		}
-		return q, nil
-	case kindRecoveryState:
-		var s RecoveryState
+	case kindCheckpoint, kindRecoveryQuery, kindRecoveryState:
+		var s RecoveryQuery
 		if s.From, err = d.ReadString(); err != nil {
 			return nil, err
 		}
@@ -299,7 +263,13 @@ func DecodeMessage(payload []byte) (interface{}, error) {
 		if s.Data, err = d.ReadOctets(); err != nil {
 			return nil, err
 		}
-		return s, nil
+		switch kind {
+		case kindCheckpoint:
+			return Checkpoint{From: s.From, Data: s.Data}, nil
+		case kindRecoveryQuery:
+			return s, nil
+		}
+		return RecoveryState(s), nil
 	default:
 		return nil, fmt.Errorf("ftmgr: unknown message kind %d", kind)
 	}

@@ -330,9 +330,9 @@ func TestDeliveriesOtherThanNoticesAllocsExact(t *testing.T) {
 		giop.NewIOR("IDL:mead/TimeOfDay:1.0", "127.0.0.1", 7001, giop.MakeObjectKey("timeofday", "clock")),
 	}}
 	for name, payload := range map[string][]byte{
-		"checkpoint":     ftmgr.EncodeCheckpoint(ftmgr.Checkpoint{From: "r1", Seq: 9, Data: make([]byte, 512)}),
+		"checkpoint":     ftmgr.EncodeCheckpoint(ftmgr.Checkpoint{From: "r1", Data: make([]byte, 512)}),
 		"sync":           ftmgr.EncodeSyncList(ftmgr.SyncList{View: 3, Replicas: []ftmgr.Announce{announce}}),
-		"recovery query": ftmgr.EncodeRecoveryQuery(ftmgr.RecoveryQuery{From: "r1", OpNumber: 9, Nonce: 1}),
+		"recovery query": ftmgr.EncodeRecoveryQuery(ftmgr.RecoveryQuery{From: "r1", Nonce: 1, Data: make([]byte, 512)}),
 	} {
 		d := gcs.Delivery{Kind: gcs.DeliverData, Group: group, Sender: "r1", Payload: payload}
 		if got := testing.AllocsPerRun(100, func() { rm.handle(d) }); got != 0 {

@@ -58,9 +58,9 @@ func (r ExitReason) String() string {
 // DefaultCheckpointEvery is the warm-passive state-transfer period.
 const DefaultCheckpointEvery = 50 * time.Millisecond
 
-// DefaultDurableCheckpointBytes is the log-growth threshold that triggers an
-// incremental durable checkpoint (snapshot + log-suffix truncation).
-const DefaultDurableCheckpointBytes = 32 << 10
+// checkpointLogBytes is the log growth that triggers an incremental durable
+// checkpoint (snapshot + log-suffix truncation).
+const checkpointLogBytes = 32 << 10
 
 // ObjectName is the single application object each replica hosts.
 const ObjectName = "clock"
@@ -115,10 +115,6 @@ type ServiceConfig struct {
 	// (replay local log, then fetch the delta from live group members) on
 	// startup. Empty keeps the purely in-memory warm-passive behaviour.
 	StateDir string
-	// DurableCheckpointBytes triggers a durable checkpoint once this many
-	// log bytes accumulate since the last one (default 32 KiB). Only
-	// meaningful with StateDir.
-	DurableCheckpointBytes int64
 	// DurableFaults, when non-nil, injects deterministic durable-I/O
 	// faults (torn/short writes, fsync errors) into every replica store
 	// sharing this config — the chaos harness's disk-damage hook.
@@ -167,7 +163,6 @@ type Replica struct {
 
 	clientIDs     *cdr.Interner
 	recoveryNonce uint64
-	viewSize      int // members in the last view; the delivery loop's own
 
 	requests atomic.Int64
 
@@ -220,7 +215,8 @@ func (r *Replica) StateCounter() uint64 {
 	return r.state.Counter()
 }
 
-// OpNumber returns the replica's durable op number (0 when not durable).
+// OpNumber returns the number of the last operation the replica executed or
+// merged, durable or not.
 func (r *Replica) OpNumber() uint64 {
 	if r.state == nil {
 		return 0
@@ -269,7 +265,7 @@ func (r *Replica) Start() (err error) {
 
 	// Durable recovery happens before the replica is reachable: replay the
 	// local checkpoint + log, so the handshake below only needs the delta.
-	r.state = &clockState{replica: r.name, tel: r.cfg.Telemetry}
+	r.state = &clockState{}
 	r.clientIDs = cdr.NewInterner(1024)
 	if r.cfg.StateDir != "" {
 		store, res, derr := durable.Open(durable.Config{
@@ -284,7 +280,7 @@ func (r *Replica) Start() (err error) {
 		}
 		r.store = store
 		r.cfg.Telemetry.RecoveryStarted(r.name, int64(res.Snap.OpNumber)-int64(res.Replayed))
-		r.state.restore(res.Snap)
+		r.state.merge(res.Snap) // before the store is attached: nothing to persist
 		r.state.store = store
 		r.cfg.Telemetry.LogReplayed(r.name, int64(res.Replayed), res.Truncated)
 		r.logf("replica %s: durable recovery: checkpoint=%v damaged=%v replayed=%d truncated=%v op=%d counter=%d",
@@ -331,7 +327,6 @@ func (r *Replica) Start() (err error) {
 			r.logf("replica %s: migrate threshold crossed, handing clients off", r.name)
 			go r.maybeRejuvenate()
 		},
-		RecoverySnapshot: r.recoverySnapshot(),
 	})
 	if err != nil {
 		return err
@@ -400,12 +395,11 @@ func (r *Replica) Start() (err error) {
 	}
 	if r.store != nil {
 		// Recovery handshake, VSR-style: having replayed the local log,
-		// multicast a status query naming the reached op number; live
-		// members answer privately with their snapshots and deliveryLoop
-		// merges anything newer (nonce-guarded against stale answers to an
-		// earlier incarnation).
+		// multicast the state it reached with a fresh nonce. Every member
+		// merges it and answers privately with its own state, which deliver
+		// merges (nonce-guarded against answers to an earlier incarnation).
 		r.recoveryNonce = recoveryNonces.Add(1)
-		q := ftmgr.RecoveryQuery{From: r.name, OpNumber: r.state.OpNumber(), Nonce: r.recoveryNonce}
+		q := ftmgr.RecoveryQuery{From: r.name, Nonce: r.recoveryNonce, Data: durable.EncodeSnapshot(r.state.snapshot(false))}
 		if err := r.member.Multicast(r.cfg.Group(), ftmgr.EncodeRecoveryQuery(q)); err != nil {
 			return err
 		}
@@ -449,16 +443,6 @@ func (r *Replica) cleanupPartial() {
 // recoveryNonces distinguishes recovery-handshake incarnations within one
 // process (each restart queries with a fresh nonce).
 var recoveryNonces atomic.Uint64
-
-// recoverySnapshot returns the ftmgr callback answering RecoveryQuery
-// messages, or nil when the replica keeps no durable state (in-memory
-// replicas leave recovery to the warm-passive checkpoint stream).
-func (r *Replica) recoverySnapshot() func() []byte {
-	if r.cfg.StateDir == "" {
-		return nil
-	}
-	return func() []byte { return durable.EncodeSnapshot(r.state.snapshot()) }
-}
 
 // Crash terminates the replica abruptly (process-crash semantics).
 func (r *Replica) Crash() { r.exit(ExitCrashed) }
@@ -516,8 +500,8 @@ func (r *Replica) logf(format string, args ...interface{}) {
 	}
 }
 
-// deliveryLoop pumps GCS events into the FT manager, applies incoming
-// state checkpoints, and merges recovery-handshake answers.
+// deliveryLoop pumps GCS events into the FT manager and runs state transfer:
+// checkpoints and both halves of the recovery handshake.
 func (r *Replica) deliveryLoop() {
 	for d := range r.member.Deliveries() {
 		if r.exiting.Load() {
@@ -534,95 +518,76 @@ func (r *Replica) deliveryLoop() {
 // is decoded once, by the FT manager, which hands back the message.
 func (r *Replica) deliver(d gcs.Delivery) {
 	msg := r.mgr.HandleDelivery(d)
-	if d.Kind == gcs.DeliverView {
-		// Re-issue the recovery query when the view grows: a replica
-		// that cold-restarted before its peers (the whole-group
-		// disaster) queried an empty group, and the joiners may hold
-		// newer checkpoints than its own log tail. The nonce is
-		// unchanged — answers merge forward-only, so re-asking is
-		// idempotent.
-		grew := len(d.View.Members) > r.viewSize
-		r.viewSize = len(d.View.Members)
-		if grew && r.store != nil {
-			q := ftmgr.RecoveryQuery{From: r.name, OpNumber: r.state.OpNumber(), Nonce: r.recoveryNonce}
-			_ = r.member.Multicast(r.cfg.Group(), ftmgr.EncodeRecoveryQuery(q))
-		}
-		return
+	if d.Sender == r.name {
+		return // its own checkpoint or query
 	}
 	switch v := msg.(type) {
 	case ftmgr.Checkpoint:
-		if v.From == r.name {
-			return
+		r.merge(v.Data)
+	case ftmgr.RecoveryQuery:
+		// A member that (re)started: its state moves this one forward if it is
+		// ahead — in a whole-group disaster the first replica back may be
+		// behind the later ones — and the answer moves it forward if not.
+		if r.merge(v.Data) {
+			r.fetched(v.From)
 		}
-		if len(v.Data) > 0 {
-			// Durable checkpoint stream: merge the full snapshot
-			// (counter + dedup table) and persist it, so a backup that
-			// later cold-restarts recovers the state it was mirroring.
-			if snap, derr := durable.DecodeSnapshot(v.Data); derr == nil {
-				if r.state.applySnapshot(snap) && r.store != nil {
-					r.state.checkpoint()
-					r.cfg.Telemetry.CheckpointPersisted(r.name)
-				}
-			}
-		} else {
-			r.state.applyCheckpoint(v.Seq)
-		}
+		rs := ftmgr.RecoveryState{From: r.name, Nonce: v.Nonce, Data: durable.EncodeSnapshot(r.state.snapshot(false))}
+		_ = r.member.Send(v.From, ftmgr.EncodeRecoveryState(rs))
 	case ftmgr.RecoveryState:
-		r.handleRecoveryState(v)
+		// The wrong nonce marks an answer to an earlier incarnation.
+		if v.Nonce == r.recoveryNonce && r.merge(v.Data) {
+			r.fetched(v.From)
+		}
 	}
 }
 
-// handleRecoveryState merges one recovery-handshake answer: the delta fetch
-// completing the status → replay → fetch sequence. Stale answers (wrong
-// nonce: addressed to an earlier incarnation of this replica name) are
-// dropped; merges are forward-only, so answers from several members are
-// safe in any order.
-func (r *Replica) handleRecoveryState(rs ftmgr.RecoveryState) {
-	if r.store == nil || rs.Nonce != r.recoveryNonce || rs.From == r.name {
-		return
+// merge is the one way a peer's state enters this replica, whether it came
+// in a checkpoint, a recovery query or an answer: data is applied forward-only
+// and, on a durable replica it advanced, persisted. It reports whether the op
+// number advanced.
+func (r *Replica) merge(data []byte) bool {
+	snap, err := durable.DecodeSnapshot(data)
+	if err != nil || !r.state.merge(snap) {
+		return false
 	}
-	snap, err := durable.DecodeSnapshot(rs.Data)
-	if err != nil {
-		return
-	}
-	if r.state.applySnapshot(snap) {
-		merged := r.state.checkpoint()
+	if r.store != nil {
 		r.cfg.Telemetry.CheckpointPersisted(r.name)
-		r.cfg.Telemetry.StateFetched(r.name, int64(merged.OpNumber))
-		r.logf("replica %s: recovery fetched state from %s (op=%d counter=%d)",
-			r.name, rs.From, merged.OpNumber, merged.Counter)
 	}
+	return true
 }
 
-// checkpointLoop periodically transfers the primary's state to the backups
-// (warm passive replication) and, in durable mode, writes incremental
-// durable checkpoints whenever the op log has grown past the threshold.
+// fetched records that the recovery handshake with from moved this replica
+// forward.
+func (r *Replica) fetched(from string) {
+	op := r.state.OpNumber()
+	r.cfg.Telemetry.StateFetched(r.name, int64(op))
+	r.logf("replica %s: recovery fetched state from %s (op=%d)", r.name, from, op)
+}
+
+// checkpointLoop is warm-passive state transfer and durable checkpointing on
+// one ticker. A tick takes one snapshot for both sinks: the group, if this
+// replica is the primary, and the disk once the op log has grown past
+// checkpointLogBytes (an incremental checkpoint, which truncates the log it
+// covers).
 func (r *Replica) checkpointLoop() {
 	ticker := time.NewTicker(r.cfg.CheckpointEvery)
 	defer ticker.Stop()
-	threshold := r.cfg.DurableCheckpointBytes
-	if threshold <= 0 {
-		threshold = DefaultDurableCheckpointBytes
-	}
 	for {
 		select {
 		case <-ticker.C:
-			if r.store != nil && r.store.LogBytes() >= threshold {
-				// Incremental checkpoint: snapshot the state, let the
-				// writer persist it and truncate the covered log suffix.
-				r.state.checkpoint()
-				r.cfg.Telemetry.CheckpointPersisted(r.name)
-			}
-			if !r.mgr.IsPrimary() {
+			persist := r.store != nil && r.store.LogBytes() >= checkpointLogBytes
+			primary := r.mgr.IsPrimary()
+			if !persist && !primary {
 				continue
 			}
-			cp := ftmgr.Checkpoint{From: r.name, Seq: r.state.Counter()}
-			if r.store != nil {
-				// Durable mode ships the full snapshot (counter + dedup
-				// table) so backups can persist what they mirror and
-				// at-most-once survives fail-over.
-				cp.Data = durable.EncodeSnapshot(r.state.snapshot())
+			snap := r.state.snapshot(persist)
+			if persist {
+				r.cfg.Telemetry.CheckpointPersisted(r.name)
 			}
+			if !primary {
+				continue
+			}
+			cp := ftmgr.Checkpoint{From: r.name, Data: durable.EncodeSnapshot(snap)}
 			if err := r.member.Multicast(r.cfg.Group(), ftmgr.EncodeCheckpoint(cp)); err != nil {
 				return
 			}
@@ -696,17 +661,15 @@ func (r *Replica) servant() orb.Servant {
 }
 
 // clockState is the replicated application state: a monotonic invocation
-// counter carried by warm-passive checkpoints, plus (in durable mode) the
-// VSR-style op number and the at-most-once dedup table, both persisted via
-// the attached store.
+// counter, the VSR-style op number and the at-most-once dedup table. Every
+// snapshot carries all three; a durable replica also persists them via the
+// attached store.
 type clockState struct {
 	mu       sync.Mutex
 	counter  uint64
 	opNumber uint64
 	dedup    map[string]durable.DedupEntry
 	store    *durable.Store // nil: in-memory only
-	replica  string
-	tel      *telemetry.Telemetry
 }
 
 // detach drops the store of an exited replica; the counters stay readable.
@@ -764,44 +727,19 @@ func (s *clockState) OpNumber() uint64 {
 	return s.opNumber
 }
 
-// restore seeds the state from a recovered snapshot (before serving).
-func (s *clockState) restore(snap durable.Snapshot) {
+// snapshot renders the current state as a snapshot (dedup entries in
+// canonical client order). With persist set, a durable state also queues it
+// as the store's next checkpoint, which then owns its Dedup: snapshot and
+// queueing share one critical section with exec's append, so no op the
+// snapshot does not cover can be appended in between and then truncated with
+// the log.
+func (s *clockState) snapshot(persist bool) durable.Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.counter = snap.Counter
-	s.opNumber = snap.OpNumber
-	s.dedup = nil
-	for _, e := range snap.Dedup {
-		if s.dedup == nil {
-			s.dedup = make(map[string]durable.DedupEntry, len(snap.Dedup))
-		}
-		s.dedup[e.Client] = e
-	}
+	return s.snapshotLocked(persist)
 }
 
-// snapshot renders the current state as a checkpointable snapshot (dedup
-// entries in canonical client order).
-func (s *clockState) snapshot() durable.Snapshot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.snapshotLocked()
-}
-
-// checkpoint queues a durable checkpoint of the current state and returns
-// it (its Dedup now belongs to the store). Snapshot and queueing share one
-// critical section with exec's append, so no op the snapshot does not cover
-// can be appended in between and then truncated with the log.
-func (s *clockState) checkpoint() durable.Snapshot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	snap := s.snapshotLocked()
-	if s.store != nil {
-		s.store.Checkpoint(snap)
-	}
-	return snap
-}
-
-func (s *clockState) snapshotLocked() durable.Snapshot {
+func (s *clockState) snapshotLocked(persist bool) durable.Snapshot {
 	snap := durable.Snapshot{OpNumber: s.opNumber, Counter: s.counter}
 	if len(s.dedup) > 0 {
 		snap.Dedup = make([]durable.DedupEntry, 0, len(s.dedup))
@@ -810,29 +748,19 @@ func (s *clockState) snapshotLocked() durable.Snapshot {
 		}
 		sort.Slice(snap.Dedup, func(i, j int) bool { return snap.Dedup[i].Client < snap.Dedup[j].Client })
 	}
+	if persist && s.store != nil {
+		s.store.Checkpoint(snap)
+	}
 	return snap
 }
 
-// applyCheckpoint merges a legacy counter-only checkpoint: state only moves
-// forward.
-func (s *clockState) applyCheckpoint(seq uint64) {
+// merge applies a snapshot forward-only: the counter and each client's dedup
+// row move only up, so checkpoints, queries and answers apply safely in any
+// order and any number of times. It reports whether the op number advanced,
+// and then queues the merged state as a durable checkpoint.
+func (s *clockState) merge(snap durable.Snapshot) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if seq > s.counter {
-		s.counter = seq
-	}
-}
-
-// applySnapshot merges a full snapshot forward-only and reports whether the
-// op number (the persistence trigger) advanced. Dedup rows merge per client
-// on the highest seq, so answers and checkpoints apply safely in any order.
-func (s *clockState) applySnapshot(snap durable.Snapshot) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	advanced := snap.OpNumber > s.opNumber
-	if advanced {
-		s.opNumber = snap.OpNumber
-	}
 	if snap.Counter > s.counter {
 		s.counter = snap.Counter
 	}
@@ -844,5 +772,12 @@ func (s *clockState) applySnapshot(snap durable.Snapshot) bool {
 			s.dedup[e.Client] = e
 		}
 	}
-	return advanced
+	if snap.OpNumber <= s.opNumber {
+		return false
+	}
+	s.opNumber = snap.OpNumber
+	if s.store != nil {
+		s.snapshotLocked(true)
+	}
+	return true
 }

@@ -391,6 +391,47 @@ func TestWarmPassiveStateContinuity(t *testing.T) {
 	}
 }
 
+// TestInMemoryBackupAnswersCheckpointedRetransmission: the primary's
+// checkpoint carries its dedup table to an in-memory backup as well, so after
+// a fail-over a retransmission of an operation the checkpoint covered is
+// answered from that table, with the checkpointed counter and no second
+// execution.
+func TestInMemoryBackupAnswersCheckpointedRetransmission(t *testing.T) {
+	c := startCluster(t, ftmgr.ReactiveNoCache, 2, nil)
+	// Clients sharing one identity and each starting at sequence 1: the
+	// second one's first invocation retransmits the first one's.
+	newClient := func() client.Strategy {
+		s, err := client.New(client.Config{
+			Scheme:    ftmgr.ReactiveNoCache,
+			Service:   c.cfg.Service,
+			NamesAddr: c.names.Addr(),
+			HubAddr:   c.hub.Addr(),
+			ClientID:  "dup-client",
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = s.Close() })
+		return s
+	}
+	if out := newClient().Invoke(); out.Err != nil || out.Replica != "r1" || out.Counter != 1 {
+		t.Fatalf("first invocation = %+v", out)
+	}
+	primary, backup := c.reps[0], c.reps[1]
+	waitFor(t, "the backup to receive a checkpoint", func() bool { return backup.StateCounter() == 1 })
+	primary.Crash()
+	<-primary.Done()
+
+	out := newClient().Invoke()
+	if out.Err != nil || out.Replica != "r2" {
+		t.Fatalf("retransmission = %+v", out)
+	}
+	if out.Counter != 1 || backup.StateCounter() != 1 {
+		t.Fatalf("the backup re-executed the retransmission: reply counter %d, state %d; want 1 and 1",
+			out.Counter, backup.StateCounter())
+	}
+}
+
 func TestInjectedFaultCrashesReplica(t *testing.T) {
 	c := startCluster(t, ftmgr.ReactiveNoCache, 1, func(cfg *replica.ServiceConfig) {
 		cfg.InjectFault = true
