@@ -36,7 +36,9 @@ test:
 ## the naming server's Close not waiting for idle sessions, the hub sequencer
 ## staying off the sockets, appends per log-file write and per durable-writer
 ## wake-up, a checkpoint never truncating an op it does not cover, Dial calls inside a
-## MEAD hand-off whose standby is ready (none), wire bytes identical to the
+## MEAD hand-off whose standby is ready (none), the transports a hand-off leaves
+## (old, replaced, given up) closed behind the caller, not in front of the
+## reply, wire bytes identical to the
 ## recorded parent-side streams, SyncLists after a crash view (none) and a join
 ## (one), recovery queries (one) and answers (one per member) per join, one
 ## decode of a checkpoint per consuming goroutine, and the zero-allocation
@@ -44,17 +46,21 @@ test:
 ## which hides an allocation behind the slack the guards then need; here they
 ## run exact.
 perf-guards:
-	$(GO) test -count=1 -run 'AllocsExact|OneWrite|ShareServerWrites|WriteSyscalls|SplitsBatch|ResendsBatch|DoNotAllocate|DispatchAllocatesNothing|GroupCommits|WakesWriterOnce|KeepsUncoveredOps|FlushesConcurrent|HandOffDialsNothing|SequencerNeverCloses|SlowConsumer|WireBytesMatchParent|ReaderDrains|SessionDialsOnce|ReresolveDialsOnlyTheReplica|CloseDoesNotWait|CrashViewSendsNoSyncList|JoinCostsOneAnswerPerMember' \
+	$(GO) test -count=1 -run 'AllocsExact|OneWrite|ShareServerWrites|WriteSyscalls|SplitsBatch|ResendsBatch|DoNotAllocate|DispatchAllocatesNothing|GroupCommits|WakesWriterOnce|KeepsUncoveredOps|FlushesConcurrent|HandOffDialsNothing|ClosesBehind|SequencerNeverCloses|SlowConsumer|WireBytesMatchParent|ReaderDrains|SessionDialsOnce|ReresolveDialsOnlyTheReplica|CloseDoesNotWait|CrashViewSendsNoSyncList|JoinCostsOneAnswerPerMember' \
 		./internal/giop/ ./internal/interceptor/ ./internal/orb/ ./internal/durable/ ./internal/ftmgr/ \
 		./internal/gcs/ ./internal/namesvc/ ./internal/frame/ ./internal/client/ ./internal/experiment/ \
 		./internal/replica/ ./internal/recovery/
 
 ## chaos-smoke: the deterministic network-chaos suite — the netfault
 ## injector's own tests plus the {scheme × fault-plan} conformance matrix
-## and the same-seed determinism check, all race-enabled.
+## and the same-seed determinism check, all race-enabled — and twenty
+## race-enabled passes of the hand-off tests, which race the close a swap
+## leaves behind against Close, OnClose and the standby's dial.
 chaos-smoke:
 	$(GO) test -race -count=1 -run 'Chaos|Cut|Blackhole|Partition|Duplicate|ShortWrites|Latency|Seeded|Determin|Table1' \
 		./internal/netfault/ ./internal/experiment/
+	$(GO) test -race -count=20 -run 'Swap|HandOff|Standby|CloseReleases|OnClose' \
+		./internal/interceptor/ ./internal/ftmgr/
 
 ## metrics-smoke: boot a real multi-process deployment with -metrics, drive
 ## a client workload, and validate the Prometheus/JSON/JSONL responses of

@@ -7,6 +7,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -629,17 +630,27 @@ func (d *Deployment) driveOne(strat client.Strategy, start time.Time) clientRun 
 // finishResult folds in the server-side failure accounting.
 func (d *Deployment) finishResult(res *Result) *Result {
 	// Proactive rejuvenations that the Recovery Manager has not yet seen
-	// as view changes are counted via replica exit reasons.
-	d.mu.Lock()
+	// as view changes are counted via replica exit reasons. A replica past T2
+	// rejuvenates once its last client's old connection has closed, which
+	// the client does behind the reply that handed it off; after a hand-off
+	// in the run's final milliseconds that is after the last invocation
+	// returned, so such a replica gets up to a second to exit.
+	grace, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
 	exited := 0
-	for _, r := range d.replicas {
+	for _, r := range d.Replicas() {
+		if mgr := r.Manager(); mgr != nil && mgr.Migrating() {
+			select {
+			case <-r.Done():
+			case <-grace.Done():
+			}
+		}
 		select {
 		case <-r.Done():
 			exited++
 		default:
 		}
 	}
-	d.mu.Unlock()
 	if exited > res.ServerFailures {
 		res.ServerFailures = exited
 	}

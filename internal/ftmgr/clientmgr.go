@@ -186,15 +186,16 @@ func (mc *meadConn) warm(addr string) {
 	}()
 }
 
-// abandonLocked gives s up: its connection is closed now, or by its dial
-// when that returns. Callers hold mc.mu.
+// abandonLocked gives s up: its connection is closed behind the caller now,
+// or by its dial when that returns. Callers hold mc.mu, so the close must not
+// run here.
 func (mc *meadConn) abandonLocked(s *standby) {
 	if s == nil {
 		return
 	}
 	s.abandoned = true
 	if s.conn != nil {
-		_ = s.conn.Close()
+		interceptor.CloseBehind(s.conn)
 		s.conn = nil
 	}
 }
@@ -225,7 +226,8 @@ func (mc *meadConn) obtain(addr string) (net.Conn, error) {
 	return mc.cm.cfg.Dial("tcp", addr, mc.cm.cfg.DialTimeout)
 }
 
-// hold keeps conn as the transport to swap in behind the next reply.
+// hold keeps conn as the transport to swap in behind the next reply; a
+// target it replaces is closed behind the reading goroutine.
 func (mc *meadConn) hold(conn net.Conn, target string) {
 	mc.mu.Lock()
 	if mc.closed {
@@ -237,7 +239,7 @@ func (mc *meadConn) hold(conn net.Conn, target string) {
 	mc.pending, mc.pendingTarget = conn, target
 	mc.mu.Unlock()
 	if old != nil {
-		_ = old.Close()
+		interceptor.CloseBehind(old)
 	}
 }
 
@@ -296,7 +298,9 @@ func (mc *meadConn) repair(c *interceptor.Conn) (string, bool) {
 // the reply stream, redirect the connection to the replica a fail-over frame
 // names (dup2-equivalent swap), and pass the regular GIOP reply up to the
 // unmodified ORB. A notice frame ahead of it lets the connection to that
-// replica be opened before the hand-off instead of inside it.
+// replica be opened before the hand-off instead of inside it; what a hand-off
+// leaves behind (the old transport, a replaced target, a given-up standby) is
+// closed behind the reading goroutine, not in front of the reply.
 func (cm *ClientManager) meadHooks() interceptor.Hooks {
 	mc := &meadConn{cm: cm}
 	return interceptor.Hooks{

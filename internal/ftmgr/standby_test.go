@@ -22,14 +22,16 @@ import (
 // on time.
 
 // dialLog is a DialFunc over real loopback dials that counts its calls, can
-// hold or fail the calls to one address, and remembers every connection it
-// returned so a test can ask which are still open.
+// hold or fail the calls to one address or hold the Close of what it returns
+// for one, and remembers every connection it returned so a test can ask which
+// are still open.
 type dialLog struct {
-	mu    sync.Mutex
-	calls []string
-	conns []*loggedConn
-	gates map[string]chan struct{}
-	fails map[string]int // dials to this address still to fail
+	mu         sync.Mutex
+	calls      []string
+	conns      []*loggedConn
+	gates      map[string]chan struct{}
+	closeGates map[string]chan struct{}
+	fails      map[string]int // dials to this address still to fail
 
 	started  chan string      // one send per call, as it begins
 	returned chan *loggedConn // one send per call, as it returns (nil = failed)
@@ -37,12 +39,16 @@ type dialLog struct {
 
 type loggedConn struct {
 	net.Conn
-	addr   string
-	once   sync.Once
-	closed chan struct{}
+	addr      string
+	closeGate chan struct{} // nil, or Close waits for it to be closed
+	once      sync.Once
+	closed    chan struct{}
 }
 
 func (c *loggedConn) Close() error {
+	if c.closeGate != nil {
+		<-c.closeGate
+	}
 	c.once.Do(func() { close(c.closed) })
 	return c.Conn.Close()
 }
@@ -58,8 +64,9 @@ func (c *loggedConn) isClosed() bool {
 
 func newDialLog() *dialLog {
 	return &dialLog{
-		gates: make(map[string]chan struct{}),
-		fails: make(map[string]int),
+		gates:      make(map[string]chan struct{}),
+		closeGates: make(map[string]chan struct{}),
+		fails:      make(map[string]int),
 		// Sized to the dials one test makes, so the dialer never waits for
 		// a test that does not read them.
 		started:  make(chan string, 16),
@@ -79,6 +86,20 @@ func (d *dialLog) hold(addr string) (release func()) {
 		d.mu.Unlock()
 		close(gate)
 	}
+}
+
+// holdClose makes the Close of every connection dialed to addr from now on
+// wait until the returned function is called; the test's cleanup calls it
+// too, so that nothing is left blocked.
+func (d *dialLog) holdClose(t *testing.T, addr string) (release func()) {
+	gate := make(chan struct{})
+	d.mu.Lock()
+	d.closeGates[addr] = gate
+	d.mu.Unlock()
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }) }
+	t.Cleanup(release)
+	return release
 }
 
 // failNext makes the next dial to addr fail.
@@ -114,6 +135,7 @@ func (d *dialLog) Dial(network, addr string, timeout time.Duration) (net.Conn, e
 	}
 	lc := &loggedConn{Conn: raw, addr: addr, closed: make(chan struct{})}
 	d.mu.Lock()
+	lc.closeGate = d.closeGates[addr]
 	d.conns = append(d.conns, lc)
 	d.mu.Unlock()
 	d.returned <- lc
@@ -141,11 +163,16 @@ func (d *dialLog) open() []*loggedConn {
 
 func await[T any](t *testing.T, what string, ch <-chan T) T {
 	t.Helper()
+	return awaitWithin(t, 5*time.Second, what, ch)
+}
+
+func awaitWithin[T any](t *testing.T, d time.Duration, what string, ch <-chan T) T {
+	t.Helper()
 	select {
 	case v := <-ch:
 		return v
-	case <-time.After(5 * time.Second):
-		t.Fatalf("timed out waiting for %s", what)
+	case <-time.After(d):
+		t.Fatalf("timed out waiting %v for %s", d, what)
 		panic("unreachable")
 	}
 }
@@ -263,7 +290,11 @@ func TestHandOffDialsNothing(t *testing.T) {
 
 	requireOK(t, conn, 1)
 	standby := await(t, "the standby dial to return", d.returned)
-	waitFor(t, "standby-ready", func() bool { return tel.StandbysReady.Value() == 1 })
+	// The event, not the counter: the counter moves first, and the trace is
+	// compared below.
+	waitFor(t, "the standby-ready event", func() bool {
+		return slices.Contains(eventKinds(tel), telemetry.EvStandbyReady)
+	})
 	requireOK(t, conn, 2) // the primary sends a NOTICE once, not per reply
 	if d.count() != 1 {
 		t.Fatalf("%d dials before the hand-off, want 1 (the standby)", d.count())
@@ -391,6 +422,68 @@ func TestFailoverToAnotherTargetDropsStandby(t *testing.T) {
 	requireOK(t, conn, 3)
 	if cm.Failovers() != 1 || conn.Under() != net.Conn(fresh) {
 		t.Fatalf("failovers = %d, on r3 = %v", cm.Failovers(), conn.Under() == net.Conn(fresh))
+	}
+	_ = conn.Close()
+	d.requireAllClosed(t)
+}
+
+// TestReplacedHandOffTargetClosesBehind, a guard of `make perf-guards`: a
+// second FAILOVER frame ahead of the reply replaces the target the first one
+// put on hold, and the replaced transport is closed behind the reading
+// goroutine — the reply reaches the ORB while that Close is blocked, and the
+// close runs once it is let through.
+func TestReplacedHandOffTargetClosesBehind(t *testing.T) {
+	r2, r3 := plainServer(t), plainServer(t)
+	primary := fakeReplyServer(t, func(n int, hdr giop.RequestHeader) [][]byte {
+		if n == 0 {
+			return [][]byte{failover(r2.Addr()), failover(r3.Addr()), okReply(hdr.RequestID)}
+		}
+		return [][]byte{okReply(hdr.RequestID)}
+	})
+	d := newDialLog()
+	cm, conn, _ := meadClient(t, d, primary.Addr())
+	release := d.holdClose(t, r2.Addr())
+
+	replied := make(chan error, 1)
+	go func() { replied <- invoke(conn, 1) }()
+	if err := awaitWithin(t, time.Second, "the reply behind the replacing FAILOVER", replied); err != nil {
+		t.Fatal(err)
+	}
+	replaced := await(t, "the dial to r2", d.returned)
+	toR3 := await(t, "the dial to r3", d.returned)
+	release()
+	awaitWithin(t, time.Second, "the replaced target to be closed", replaced.closed)
+	requireOK(t, conn, 2)
+	if cm.Failovers() != 1 || conn.Under() != net.Conn(toR3) {
+		t.Fatalf("failovers = %d, on r3 = %v; want 1, true", cm.Failovers(), conn.Under() == net.Conn(toR3))
+	}
+	_ = conn.Close()
+	d.requireAllClosed(t)
+}
+
+// TestGivenUpStandbyClosesBehind, a guard of `make perf-guards`: a NOTICE
+// naming another replica gives the ready standby up, and closes it behind the
+// reading goroutine — the reply behind the NOTICE reaches the ORB while that
+// Close is blocked, and the close runs once it is let through.
+func TestGivenUpStandbyClosesBehind(t *testing.T) {
+	r2, r3 := plainServer(t), plainServer(t)
+	primary := scriptedPrimary(t, notice(r2.Addr()), notice(r3.Addr()))
+	d := newDialLog()
+	_, conn, tel := meadClient(t, d, primary.Addr())
+	release := d.holdClose(t, r2.Addr())
+
+	requireOK(t, conn, 1)
+	stale := await(t, "the standby dial to r2", d.returned)
+	waitFor(t, "standby-ready", func() bool { return tel.StandbysReady.Value() == 1 })
+	replied := make(chan error, 1)
+	go func() { replied <- invoke(conn, 2) }()
+	if err := awaitWithin(t, time.Second, "the reply behind the second NOTICE", replied); err != nil {
+		t.Fatal(err)
+	}
+	release()
+	awaitWithin(t, time.Second, "the given-up standby to be closed", stale.closed)
+	if fresh := await(t, "the standby dial to r3", d.returned); fresh == nil || fresh.addr != r3.Addr() {
+		t.Fatalf("second standby = %+v, want r3 at %s", fresh, r3.Addr())
 	}
 	_ = conn.Close()
 	d.requireAllClosed(t)

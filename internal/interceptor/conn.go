@@ -15,7 +15,10 @@
 //     keeps using the same net.Conn value ("the Interceptor opening a new
 //     TCP socket ... and then using the UNIX dup2() call to close the
 //     connection to the failing replica, and point the connection to the
-//     new address").
+//     new address"). Unlike dup2(), the old connection is closed behind the
+//     caller (CloseBehind), not on its goroutine: the redirect is atomic,
+//     the teardown of the departing replica's socket is not in front of the
+//     reply the caller holds.
 //
 // A Conn has one reading and one writing goroutine at a time (they may be
 // the same, as in a single-threaded CORBA client); only Close and SwapUnder
@@ -144,13 +147,15 @@ func (c *Conn) Under() net.Conn {
 	return c.under
 }
 
-// SwapUnder atomically redirects the stream to newConn, closing the old
-// transport — the dup2() equivalent. Hook outputs already accepted for the
-// old transport are written to it first (a hook swapping mid-burst splits
-// the batch at the swap); buffered inbound bytes are preserved (they were
-// already delivered by the old replica). Swapping a connection that has
-// already been Closed closes newConn instead of resurrecting the stream, so
-// a hook-driven repair racing Close cannot leak the replacement transport.
+// SwapUnder atomically redirects the stream to newConn — the dup2()
+// equivalent — and closes the old transport behind the caller (CloseBehind)
+// rather than on its goroutine. Hook outputs already accepted for the old
+// transport are written to it first, synchronously (a hook swapping
+// mid-burst splits the batch at the swap); buffered inbound bytes are
+// preserved (they were already delivered by the old replica). Swapping a
+// connection that has already been Closed closes newConn instead of
+// resurrecting the stream, so a hook-driven repair racing Close cannot leak
+// the replacement transport.
 func (c *Conn) SwapUnder(newConn net.Conn) {
 	c.underMu.Lock()
 	if c.closed {
@@ -174,8 +179,17 @@ func (c *Conn) SwapUnder(newConn net.Conn) {
 		}
 	}
 	if old != newConn {
-		_ = old.Close()
+		CloseBehind(old)
 	}
+}
+
+// CloseBehind closes a transport the stream has left on a goroutine of its
+// own, so that the close(2) of a departing replica's socket does not sit
+// between a hand-off and the reply its caller is about to pass up. The same
+// close still runs: on one P when the caller next blocks, with several in
+// parallel. Nothing waits for it; the goroutine ends when Close returns.
+func CloseBehind(conn net.Conn) {
+	go conn.Close()
 }
 
 // Close closes the current underlying transport.

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"io"
 	"net"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -250,12 +252,99 @@ func TestSwapUnderRedirectsSubsequentTraffic(t *testing.T) {
 		t.Fatalf("redirected request = %+v, %v", hdr, err)
 	}
 
-	// The old transport was closed by the swap (dup2 semantics).
+	// The old transport is closed behind the swap (dup2 semantics, off the
+	// caller's goroutine): its peer reads EOF within the deadline.
 	one := make([]byte, 1)
 	_ = sEnd1.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := sEnd1.Read(one); err == nil {
-		t.Fatal("old transport still alive after swap")
+	if _, err := sEnd1.Read(one); !errors.Is(err, io.EOF) {
+		t.Fatalf("old transport not closed within 2 s of the swap: %v", err)
 	}
+}
+
+// gatedConn is a transport whose Close blocks until release is called.
+type gatedConn struct {
+	net.Conn
+	gate, closed           chan struct{}
+	releaseOnce, closeOnce sync.Once
+}
+
+func newGatedConn(under net.Conn) *gatedConn {
+	return &gatedConn{Conn: under, gate: make(chan struct{}), closed: make(chan struct{})}
+}
+
+func (g *gatedConn) Close() error {
+	<-g.gate
+	err := g.Conn.Close()
+	g.closeOnce.Do(func() { close(g.closed) })
+	return err
+}
+
+func (g *gatedConn) release() { g.releaseOnce.Do(func() { close(g.gate) }) }
+
+// requireReturns fails the test unless done is closed within a second.
+func requireReturns(t *testing.T, what string, done <-chan struct{}) {
+	t.Helper()
+	select {
+	case <-done:
+	case <-time.After(time.Second):
+		t.Fatalf("%s did not return while the old transport's Close was blocked", what)
+	}
+}
+
+// requireClosedSoon releases g's Close and fails the test unless it has
+// completed within a second.
+func (g *gatedConn) requireClosedSoon(t *testing.T) {
+	t.Helper()
+	g.release()
+	select {
+	case <-g.closed:
+	case <-time.After(time.Second):
+		t.Fatal("old transport not closed within 1 s of its Close being let through")
+	}
+}
+
+// TestSwapUnderClosesBehind is the close-placement guard of `make
+// perf-guards`: SwapUnder returns while the old transport's Close is still
+// blocked — called directly, and from inside OnReadFrame as the MEAD hook
+// calls it, where the reply behind the swap reaches the ORB meanwhile — and
+// the close runs once it is let through.
+func TestSwapUnderClosesBehind(t *testing.T) {
+	t.Run("direct", func(t *testing.T) {
+		old := newGatedConn(&sinkConn{})
+		t.Cleanup(old.release)
+		ic := New(old, Hooks{})
+		swapped := make(chan struct{})
+		go func() { ic.SwapUnder(&sinkConn{}); close(swapped) }()
+		requireReturns(t, "SwapUnder", swapped)
+		old.requireClosedSoon(t)
+	})
+	t.Run("from OnReadFrame", func(t *testing.T) {
+		cEnd1, sEnd1 := tcpPair(t)
+		cEnd2, _ := tcpPair(t)
+		old := newGatedConn(cEnd1)
+		t.Cleanup(old.release)
+		ic := New(old, Hooks{
+			OnReadFrame: func(c *Conn, f giop.Frame) ([]byte, error) {
+				c.SwapUnder(cEnd2)
+				return f.Raw, nil
+			},
+		})
+		if _, err := sEnd1.Write(replyFrame(1)); err != nil {
+			t.Fatal(err)
+		}
+		read := make(chan struct{})
+		go func() {
+			defer close(read)
+			if _, _, err := giop.ReadMessage(ic); err != nil {
+				t.Error(err)
+			}
+		}()
+		requireReturns(t, "the read of the reply behind the swap", read)
+		old.requireClosedSoon(t)
+		if ic.Under() != cEnd2 {
+			t.Fatal("the swap did not redirect the stream")
+		}
+	})
 }
 
 func TestSwapInsideReadHook(t *testing.T) {
@@ -499,7 +588,7 @@ func TestOnCloseRunsOnceBeforeTransportCloses(t *testing.T) {
 	calls := 0
 	ic := New(under, Hooks{OnClose: func(c *Conn) {
 		calls++
-		if under.closed {
+		if under.closed.Load() {
 			t.Error("transport closed before OnClose ran")
 		}
 		c.SwapUnder(late)
@@ -509,9 +598,9 @@ func TestOnCloseRunsOnceBeforeTransportCloses(t *testing.T) {
 	if calls != 1 {
 		t.Fatalf("OnClose ran %d times, want 1", calls)
 	}
-	if !under.closed || !late.closed || ic.Under() != net.Conn(under) {
+	if !under.closed.Load() || !late.closed.Load() || ic.Under() != net.Conn(under) {
 		t.Fatalf("after Close: transport closed = %v, late swap closed = %v, late swap adopted = %v",
-			under.closed, late.closed, ic.Under() != net.Conn(under))
+			under.closed.Load(), late.closed.Load(), ic.Under() != net.Conn(under))
 	}
 }
 
@@ -584,7 +673,7 @@ type sinkConn struct {
 	net.Conn // nil: only Write and Close are ever called
 	writes   [][]byte
 	failNext int
-	closed   bool
+	closed   atomic.Bool // set by a Close that may run behind a swap
 }
 
 func (s *sinkConn) Write(p []byte) (int, error) {
@@ -596,7 +685,17 @@ func (s *sinkConn) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-func (s *sinkConn) Close() error { s.closed = true; return nil }
+func (s *sinkConn) Close() error { s.closed.Store(true); return nil }
+
+// closedWithin reports whether s has been closed by the time d has passed.
+func (s *sinkConn) closedWithin(d time.Duration) bool {
+	for deadline := time.Now().Add(d); !s.closed.Load(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			return false
+		}
+	}
+	return true
+}
 
 func (s *sinkConn) stream() []byte { return bytes.Join(s.writes, nil) }
 
@@ -690,14 +789,15 @@ func TestWriteBuffersLeavesInOneWrite(t *testing.T) {
 }
 
 // TestSwapFromWriteHookSplitsBatch: frames accepted before a hook swaps the
-// transport leave on the old one (flushed before it is closed); the frame
-// whose hook swapped, and the rest of the burst, leave on the new one.
+// transport leave on the old one (written by the swap itself; the close
+// follows behind it); the frame whose hook swapped, and the rest of the
+// burst, leave on the new one.
 func TestSwapFromWriteHookSplitsBatch(t *testing.T) {
 	oldT, newT := &sinkConn{}, &sinkConn{}
 	ic := New(oldT, Hooks{
 		OnWriteFrame: func(c *Conn, f giop.Frame) ([]byte, error) {
 			if id, _ := giop.ReplyIDOf(f.Header.Order, f.Body()); id == 4 {
-				if oldT.closed {
+				if oldT.closed.Load() {
 					t.Error("old transport closed before the hook swapped")
 				}
 				c.SwapUnder(newT)
@@ -712,7 +812,7 @@ func TestSwapFromWriteHookSplitsBatch(t *testing.T) {
 	if len(oldT.writes) != 1 || !bytes.Equal(oldT.writes[0], bytes.Join(frames[:3], nil)) {
 		t.Fatalf("old transport got %d writes, want one carrying frames 1-3", len(oldT.writes))
 	}
-	if !oldT.closed {
+	if !oldT.closedWithin(time.Second) {
 		t.Fatal("old transport left open after the swap")
 	}
 	if len(newT.writes) != 1 || !bytes.Equal(newT.writes[0], bytes.Join(frames[3:], nil)) {

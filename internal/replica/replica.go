@@ -325,7 +325,12 @@ func (r *Replica) Start() (err error) {
 		},
 		OnMigrate: func() {
 			r.logf("replica %s: migrate threshold crossed, handing clients off", r.name)
-			go r.maybeRejuvenate()
+			// Crossed on the write path, T2 has a reply's connection open, and
+			// the connection-closed hook rejuvenates once the last one goes;
+			// only the timer-driven poller can cross it with none open.
+			if _, srv := r.live(); srv != nil && srv.ActiveConnections() == 0 {
+				go r.maybeRejuvenate()
+			}
 		},
 	})
 	if err != nil {

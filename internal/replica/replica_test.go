@@ -2,6 +2,8 @@ package replica_test
 
 import (
 	"net"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -326,6 +328,85 @@ func TestIdleConnectionDoesNotPinMigratingReplica(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("r2 never rejuvenated: the idle connection pinned it")
+	}
+}
+
+// TestWritePathT2RejuvenatesOnceAfterTheSwap: T2 crossed on the write path
+// has the reply's connection open, so nothing rejuvenates the replica then;
+// the connection-closed hook does, once, when the last MEAD client's swap has
+// closed its old connection. No client sees a COMM_FAILURE.
+func TestWritePathT2RejuvenatesOnceAfterTheSwap(t *testing.T) {
+	var mu sync.Mutex
+	rejuvenations := 0
+	c := startCluster(t, ftmgr.MeadMessage, 3, func(cfg *replica.ServiceConfig) {
+		cfg.Logf = func(format string, _ ...interface{}) {
+			if strings.Contains(format, "rejuvenating") {
+				mu.Lock()
+				rejuvenations++
+				mu.Unlock()
+			}
+		}
+	})
+	first, last := c.client(ftmgr.MeadMessage), c.client(ftmgr.MeadMessage)
+	clean := func(what string, s client.Strategy, from string, failover bool) {
+		t.Helper()
+		out := s.Invoke()
+		if out.Err != nil || len(out.Exceptions) != 0 || out.Replica != from || out.Failover != failover {
+			t.Fatalf("%s = %+v, want a clean reply from %s, failover %v", what, out, from, failover)
+		}
+	}
+	clean("first client's first invocation", first, "r1", false)
+	clean("last client's first invocation", last, "r1", false)
+
+	c.reps[0].Budget().Consume(c.reps[0].Budget().Capacity())
+	clean("first client's hand-off", first, "r1", true)
+	select {
+	case <-c.reps[0].Done():
+		t.Fatal("r1 rejuvenated under a client that has not been handed off")
+	case <-time.After(50 * time.Millisecond):
+	}
+	clean("last client's hand-off", last, "r1", true)
+	select {
+	case <-c.reps[0].Done():
+		if c.reps[0].ExitReason() != replica.ExitRejuvenated {
+			t.Fatalf("exit reason = %v, want rejuvenated", c.reps[0].ExitReason())
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("r1 never rejuvenated after its last client's swap")
+	}
+	clean("first client after the hand-off", first, "r2", false)
+	clean("last client after the hand-off", last, "r2", false)
+	mu.Lock()
+	defer mu.Unlock()
+	if rejuvenations != 1 {
+		t.Fatalf("%d rejuvenations, want 1", rejuvenations)
+	}
+}
+
+// TestPollerRejuvenatesReplicaWithNoClient: a replica whose only client closed
+// its reference before T2 has no connection left whose close could rejuvenate
+// it. The timer-driven poller crosses T2 with none open, and that crossing
+// rejuvenates the replica — the one case the migrate callback still starts a
+// quiescence check for.
+func TestPollerRejuvenatesReplicaWithNoClient(t *testing.T) {
+	c := startCluster(t, ftmgr.MeadMessage, 3, func(cfg *replica.ServiceConfig) {
+		cfg.MonitorInterval = 2 * time.Millisecond
+	})
+	s := c.client(ftmgr.MeadMessage)
+	if out := s.Invoke(); out.Err != nil || out.Replica != "r1" {
+		t.Fatalf("first outcome = %+v", out)
+	}
+	_ = s.Close()
+	// Let r1 see the close below T2, where it rejuvenates nothing.
+	time.Sleep(100 * time.Millisecond)
+	c.reps[0].Budget().Consume(c.reps[0].Budget().Capacity())
+	select {
+	case <-c.reps[0].Done():
+		if c.reps[0].ExitReason() != replica.ExitRejuvenated {
+			t.Fatalf("exit reason = %v, want rejuvenated", c.reps[0].ExitReason())
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("r1 crossed T2 with no client and never rejuvenated")
 	}
 }
 
