@@ -55,12 +55,16 @@ perf-guards:
 ## injector's own tests plus the {scheme × fault-plan} conformance matrix
 ## and the same-seed determinism check, all race-enabled — and twenty
 ## race-enabled passes of the hand-off tests, which race the close a swap
-## leaves behind against Close, OnClose and the standby's dial.
+## leaves behind against Close, OnClose and the standby's dial, and of the
+## replica's two rejuvenation-trigger tests: T2 crossed on the write path
+## with the reply's connection open (the connection-closed hook rejuvenates)
+## and with none left open (the migrate callback does).
 chaos-smoke:
 	$(GO) test -race -count=1 -run 'Chaos|Cut|Blackhole|Partition|Duplicate|ShortWrites|Latency|Seeded|Determin|Table1' \
 		./internal/netfault/ ./internal/experiment/
 	$(GO) test -race -count=20 -run 'Swap|HandOff|Standby|CloseReleases|OnClose' \
 		./internal/interceptor/ ./internal/ftmgr/
+	$(GO) test -race -count=20 -run 'Rejuvenat' ./internal/replica/
 
 ## metrics-smoke: boot a real multi-process deployment with -metrics, drive
 ## a client workload, and validate the Prometheus/JSON/JSONL responses of

@@ -326,36 +326,6 @@ func BenchmarkIORStringRoundTrip(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_EventDrivenMonitoring vs _TimerDrivenMonitoring compare
-// the paper's chosen event-driven (write-path) threshold checking against
-// the timer-driven design it rejected, under identical faulty workloads.
-func runMonitoringAblation(b *testing.B, interval time.Duration) {
-	b.Helper()
-	var steadyUS, outlierPct float64
-	for i := 0; i < b.N; i++ {
-		sc := benchScenario(MeadMessage)
-		sc.Seed += int64(i)
-		sc.MonitorInterval = interval
-		res, err := Run(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		steadyUS += float64(res.MeanSteadyRTT()) / float64(time.Microsecond)
-		outlierPct += 100 * res.Jitter().Fraction
-	}
-	n := float64(b.N)
-	b.ReportMetric(steadyUS/n, "rtt_us")
-	b.ReportMetric(outlierPct/n, "outlier_pct")
-}
-
-func BenchmarkAblation_EventDrivenMonitoring(b *testing.B) {
-	runMonitoringAblation(b, 0)
-}
-
-func BenchmarkAblation_TimerDrivenMonitoring(b *testing.B) {
-	runMonitoringAblation(b, time.Millisecond)
-}
-
 // BenchmarkAblation_AdaptiveThresholds measures the future-work extension
 // against the preset-threshold configuration.
 func BenchmarkAblation_AdaptiveThresholds(b *testing.B) {

@@ -316,21 +316,6 @@ func TestAdaptiveThresholdScenario(t *testing.T) {
 	}
 }
 
-func TestTimerDrivenScenario(t *testing.T) {
-	sc := compressed(ftmgr.LocationForward)
-	sc.MonitorInterval = time.Millisecond
-	res := run(t, sc)
-	if res.ServerFailures == 0 {
-		t.Fatal("no rejuvenations under timer-driven monitoring")
-	}
-	if res.ClientFailures() != 0 {
-		t.Fatalf("timer-driven run leaked exceptions: %+v", res.Exceptions)
-	}
-	if len(res.Failovers) == 0 {
-		t.Fatal("no hand-offs recorded")
-	}
-}
-
 func TestMultiClientProactiveMigration(t *testing.T) {
 	// "...can initiate the migration of ALL its current clients": several
 	// concurrent clients, each on its own connection, must all be handed
@@ -486,43 +471,6 @@ func TestSoakMeadSchemeManyCycles(t *testing.T) {
 	}
 	if maxSeen < uint64(sc.Invocations)/2 {
 		t.Fatalf("counter made little progress: %d after %d invocations", maxSeen, sc.Invocations)
-	}
-}
-
-func TestRunRepeatedAggregates(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multiple runs")
-	}
-	sc := compressed(ftmgr.MeadMessage)
-	sc.Invocations = 200
-	rep, err := RunRepeated(sc, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Runs != 2 || rep.SteadyRTTMicros.N != 2 {
-		t.Fatalf("aggregate = %+v", rep)
-	}
-	if rep.SteadyRTTMicros.Mean <= 0 {
-		t.Fatal("zero mean RTT")
-	}
-	if rep.ClientFailurePct.Mean != 0 {
-		t.Fatalf("proactive repeated runs leaked failures: %+v", rep.ClientFailurePct)
-	}
-	if rep.SteadyRTTMicros.Stddev < 0 {
-		t.Fatal("negative stddev")
-	}
-}
-
-func TestAggregateMath(t *testing.T) {
-	a := aggregate([]float64{2, 4, 6})
-	if a.Mean != 4 || a.N != 3 {
-		t.Fatalf("aggregate = %+v", a)
-	}
-	if a.Stddev < 1.6 || a.Stddev > 1.7 { // population stddev of {2,4,6} = 1.633
-		t.Fatalf("stddev = %v", a.Stddev)
-	}
-	if z := aggregate(nil); z.N != 0 || z.Mean != 0 {
-		t.Fatalf("empty aggregate = %+v", z)
 	}
 }
 

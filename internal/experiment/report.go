@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"math"
 	"strings"
 	"time"
 
@@ -262,75 +261,4 @@ func RunFaultFree(template Scenario) (*Result, error) {
 	sc.Scheme = ftmgr.ReactiveNoCache
 	sc.InjectFault = false
 	return Run(sc)
-}
-
-// Aggregate summarizes one metric across repeated runs.
-type Aggregate struct {
-	Mean   float64
-	Stddev float64
-	N      int
-}
-
-func aggregate(values []float64) Aggregate {
-	if len(values) == 0 {
-		return Aggregate{}
-	}
-	var sum float64
-	for _, v := range values {
-		sum += v
-	}
-	mean := sum / float64(len(values))
-	var sq float64
-	for _, v := range values {
-		d := v - mean
-		sq += d * d
-	}
-	return Aggregate{Mean: mean, Stddev: math.Sqrt(sq / float64(len(values))), N: len(values)}
-}
-
-// RepeatedResult aggregates the Table 1 metrics over several independent
-// runs (different fault-injection seeds), giving run-to-run variability for
-// EXPERIMENTS.md-style reporting.
-type RepeatedResult struct {
-	Scheme ftmgr.Scheme
-	Runs   int
-
-	SteadyRTTMicros  Aggregate
-	FailoverMillis   Aggregate
-	ClientFailurePct Aggregate
-	BandwidthBps     Aggregate
-	ServerFailures   Aggregate
-}
-
-// RunRepeated executes the scenario `runs` times with distinct seeds and
-// aggregates the headline metrics.
-func RunRepeated(sc Scenario, runs int) (*RepeatedResult, error) {
-	if runs <= 0 {
-		runs = 3
-	}
-	var (
-		rtt, failover, clientPct, bw, fails []float64
-	)
-	for i := 0; i < runs; i++ {
-		run := sc
-		run.Seed = sc.Seed + int64(i)*1000
-		res, err := Run(run)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: repeat %d: %w", i, err)
-		}
-		rtt = append(rtt, float64(res.MeanSteadyRTT())/float64(time.Microsecond))
-		failover = append(failover, float64(res.MeanFailoverTime())/float64(time.Millisecond))
-		clientPct = append(clientPct, res.ClientFailurePct())
-		bw = append(bw, res.BandwidthBytesPerSec())
-		fails = append(fails, float64(res.ServerFailures))
-	}
-	return &RepeatedResult{
-		Scheme:           sc.Scheme,
-		Runs:             runs,
-		SteadyRTTMicros:  aggregate(rtt),
-		FailoverMillis:   aggregate(failover),
-		ClientFailurePct: aggregate(clientPct),
-		BandwidthBps:     aggregate(bw),
-		ServerFailures:   aggregate(fails),
-	}, nil
 }

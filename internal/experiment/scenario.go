@@ -70,9 +70,6 @@ type Scenario struct {
 	// AdaptiveLeadTime, when non-zero, enables trend-derived migration
 	// thresholds (the paper's future-work extension).
 	AdaptiveLeadTime time.Duration
-	// MonitorInterval, when non-zero, switches to timer-driven threshold
-	// polling (the ablation configuration).
-	MonitorInterval time.Duration
 	// Objects is the number of application objects per replica (default
 	// 1; the object-table scaling ablation raises it).
 	Objects int
@@ -300,7 +297,6 @@ func newDeployment(sc Scenario, extraHubOpts ...gcs.HubOption) (*Deployment, err
 		InjectFault:      sc.InjectFault,
 		CheckpointEvery:  sc.CheckpointEvery,
 		AdaptiveLeadTime: sc.AdaptiveLeadTime,
-		MonitorInterval:  sc.MonitorInterval,
 		Objects:          sc.Objects,
 		Logf:             sc.Logf,
 		Telemetry:        d.tel,

@@ -161,52 +161,3 @@ func TestLeakRateMatchesCalibration(t *testing.T) {
 	}
 	in.Stop()
 }
-
-func TestRequestLeakDefaults(t *testing.T) {
-	l, err := NewRequestLeak(RequestLeakConfig{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l.Budget().Name() != "descriptors" || l.Budget().Capacity() != 512 {
-		t.Fatalf("defaults = %s/%d", l.Budget().Name(), l.Budget().Capacity())
-	}
-}
-
-func TestRequestLeakFiresOnceAtCap(t *testing.T) {
-	var fired atomic.Int32
-	l, err := NewRequestLeak(RequestLeakConfig{Capacity: 5, PerRequest: 1}, func() {
-		fired.Add(1)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		l.OnRequest()
-	}
-	if fired.Load() != 1 {
-		t.Fatalf("onExhausted fired %d times", fired.Load())
-	}
-	if !l.Budget().Exhausted() {
-		t.Fatal("budget not exhausted")
-	}
-}
-
-func TestRequestLeakFractionGrowsPerRequest(t *testing.T) {
-	l, err := NewRequestLeak(RequestLeakConfig{Capacity: 10, PerRequest: 2}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.OnRequest()
-	if f := l.Budget().Fraction(); f != 0.2 {
-		t.Fatalf("fraction after one request = %v", f)
-	}
-}
-
-func TestRequestLeakRejectsNegative(t *testing.T) {
-	if _, err := NewRequestLeak(RequestLeakConfig{Capacity: -1}, nil); err == nil {
-		t.Fatal("negative capacity accepted")
-	}
-	if _, err := NewRequestLeak(RequestLeakConfig{PerRequest: -1}, nil); err == nil {
-		t.Fatal("negative per-request accepted")
-	}
-}

@@ -59,12 +59,6 @@ type Config struct {
 	// leak trend (the paper's future-work extension) instead of the
 	// preset MigrateThreshold, which remains the fallback.
 	Adaptive *AdaptiveThreshold
-	// TimerDriven switches threshold checking from the event-driven write
-	// path to an external poller calling PollThresholds — the design the
-	// paper rejected ("multithreading introduced a great deal of overhead
-	// ... and involved continuous periodic checking of resources") and
-	// which this implementation keeps only for the ablation benchmarks.
-	TimerDriven bool
 	// Telemetry, when set, records threshold crossings as recovery-trace
 	// events (with the usage percentage as the event value).
 	Telemetry *telemetry.Telemetry
@@ -432,7 +426,10 @@ func (m *Manager) handoffLocked(st *connState) (migrate bool, warm *Announce) {
 // checkThresholds runs the event-driven two-step threshold scheme. It is
 // called from the interceptor's write path ("proactive recovery needs to be
 // triggered only when there are active client connections at the server")
-// with the connection whose reply is passing; a poller passes nil.
+// with the connection whose reply is passing, never from a monitoring thread,
+// which the paper rejected ("multithreading introduced a great deal of
+// overhead ... and involved continuous periodic checking of resources");
+// PollThresholds passes nil.
 func (m *Manager) checkThresholds(st *connState) (migrate bool, warm *Announce) {
 	usage := m.cfg.Monitor.Fraction()
 	migrateAt := m.cfg.MigrateThreshold
@@ -477,8 +474,10 @@ func (m *Manager) checkThresholds(st *connState) (migrate bool, warm *Announce) 
 	return migrate, warm
 }
 
-// PollThresholds runs one threshold check from an external (timer-driven)
-// poller; see Config.TimerDriven.
+// PollThresholds runs one threshold check outside any connection's write
+// path and reports whether the replica is migrating. Only the ftmgr tests and
+// the bench harness's ftmgr.poll_thresholds_ns rung call it: the replica
+// checks thresholds on the write path alone.
 func (m *Manager) PollThresholds() bool {
 	if !m.cfg.Scheme.Proactive() {
 		return false
@@ -602,19 +601,7 @@ func (m *Manager) WrapServerConn(conn net.Conn) net.Conn {
 			if f.Header.Fragmented {
 				return f.Raw, nil
 			}
-			var (
-				migrate bool
-				warm    *Announce
-			)
-			if m.cfg.TimerDriven {
-				// Ablation mode: a poller goroutine runs the checks; the
-				// write path only consumes the decision.
-				m.mu.Lock()
-				migrate, warm = m.handoffLocked(st)
-				m.mu.Unlock()
-			} else {
-				migrate, warm = m.checkThresholds(st)
-			}
+			migrate, warm := m.checkThresholds(st)
 			if warm != nil {
 				return prepend(giop.EncodeMeadNotice(warm.Addr, firstIOR(*warm)), f.Raw), nil
 			}

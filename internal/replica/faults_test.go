@@ -9,94 +9,6 @@ import (
 	"mead/internal/replica"
 )
 
-func TestRequestLeakCrashesReactiveReplica(t *testing.T) {
-	c := startCluster(t, ftmgr.ReactiveNoCache, 2, func(cfg *replica.ServiceConfig) {
-		cfg.RequestFault = &faultinject.RequestLeakConfig{Capacity: 20, PerRequest: 1}
-	})
-	s := c.client(ftmgr.ReactiveNoCache)
-	sawFailure := false
-	for i := 0; i < 40; i++ {
-		out := s.Invoke()
-		if len(out.Exceptions) > 0 {
-			sawFailure = true
-			break
-		}
-		if out.Err != nil {
-			t.Fatalf("invocation %d: %v", i, out.Err)
-		}
-	}
-	if !sawFailure {
-		t.Fatal("descriptor exhaustion never surfaced reactively")
-	}
-	select {
-	case <-c.reps[0].Done():
-		if c.reps[0].ExitReason() != replica.ExitCrashed {
-			t.Fatalf("exit reason = %v", c.reps[0].ExitReason())
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("replica never crashed from request leak")
-	}
-}
-
-func TestRequestLeakMaskedByMeadScheme(t *testing.T) {
-	c := startCluster(t, ftmgr.MeadMessage, 3, func(cfg *replica.ServiceConfig) {
-		cfg.RequestFault = &faultinject.RequestLeakConfig{Capacity: 40, PerRequest: 1}
-		cfg.LaunchThreshold = 0.5
-		cfg.MigrateThreshold = 0.7
-	})
-	s := c.client(ftmgr.MeadMessage)
-	failovers := 0
-	for i := 0; i < 60; i++ {
-		out := s.Invoke()
-		if out.Err != nil {
-			t.Fatalf("invocation %d: %v", i, out.Err)
-		}
-		if len(out.Exceptions) != 0 {
-			t.Fatalf("request-leak exhaustion leaked to the app at %d: %v", i, out.Exceptions)
-		}
-		if out.Failover {
-			failovers++
-		}
-	}
-	if failovers == 0 {
-		t.Fatal("no proactive hand-off before descriptor exhaustion")
-	}
-	// The first replica rejuvenated (load-proportional exhaustion at 70%
-	// of 40 requests = after ~28 requests).
-	select {
-	case <-c.reps[0].Done():
-		if c.reps[0].ExitReason() != replica.ExitRejuvenated {
-			t.Fatalf("exit reason = %v, want rejuvenated", c.reps[0].ExitReason())
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("first replica never rejuvenated")
-	}
-}
-
-func TestTimerDrivenMonitoringAblation(t *testing.T) {
-	// The timer-driven variant must reach the same outcome (masked
-	// migration) through the poller goroutine instead of the write path.
-	c := startCluster(t, ftmgr.LocationForward, 3, func(cfg *replica.ServiceConfig) {
-		cfg.MonitorInterval = 2 * time.Millisecond
-	})
-	s := c.client(ftmgr.LocationForward)
-	if out := s.Invoke(); out.Err != nil {
-		t.Fatal(out.Err)
-	}
-	c.reps[0].Budget().Consume(c.reps[0].Budget().Capacity())
-	// The poller (not the write hook) must flip the migration flag.
-	waitFor(t, "timer-driven migration flag", func() bool {
-		return c.reps[0].Manager().Migrating()
-	})
-	out := s.Invoke()
-	if out.Err != nil || len(out.Exceptions) != 0 {
-		t.Fatalf("outcome = %+v", out)
-	}
-	if out.Replica != "r2" {
-		t.Fatalf("responder = %q, want r2", out.Replica)
-	}
-}
-
 func TestAdaptiveThresholdMigratesBeforeCrash(t *testing.T) {
 	// With adaptive thresholds and a steady leak, the first replica must
 	// migrate its client and rejuvenate rather than crash. (Full

@@ -65,13 +65,14 @@ const checkpointLogBytes = 32 << 10
 // ObjectName is the single application object each replica hosts.
 const ObjectName = "clock"
 
+// typeID is the CORBA repository id of the application object.
+const typeID = "IDL:mead/TimeOfDay:1.0"
+
 // ServiceConfig describes the replicated service a replica belongs to; all
 // replicas of a service share one ServiceConfig (modulo Seed derivation).
 type ServiceConfig struct {
 	// Service is the service name (naming-context prefix and group stem).
 	Service string
-	// TypeID is the CORBA repository id of the application object.
-	TypeID string
 	// HubAddr is the GCS hub endpoint.
 	HubAddr string
 	// NamesAddr is the Naming Service endpoint.
@@ -93,15 +94,6 @@ type ServiceConfig struct {
 	// derived from the observed leak trend so that migration starts with
 	// roughly this much hand-off time remaining.
 	AdaptiveLeadTime time.Duration
-	// RequestFault, when non-nil, adds a per-request countable-resource
-	// leak (descriptor/thread exhaustion) alongside the memory leak; the
-	// FT manager then monitors the worst of the two resources.
-	RequestFault *faultinject.RequestLeakConfig
-	// MonitorInterval, when non-zero, switches threshold checking to a
-	// timer-driven poller goroutine — the design the paper rejected,
-	// retained for the ablation benchmarks. Zero keeps the paper's
-	// event-driven (write-path) checking.
-	MonitorInterval time.Duration
 	// Objects is the number of application objects each replica hosts
 	// (default 1: the paper's single time-of-day object). The paper
 	// predicts the LOCATION_FORWARD scheme's bookkeeping "will increase
@@ -145,7 +137,6 @@ type Replica struct {
 
 	budget   *resource.Budget
 	injector *faultinject.Injector
-	reqLeak  *faultinject.RequestLeak
 	state    *clockState
 	addr     string // the ORB endpoint, kept past exit for trace attribution
 
@@ -177,9 +168,6 @@ type Replica struct {
 func New(name string, cfg ServiceConfig) (*Replica, error) {
 	if name == "" || cfg.Service == "" {
 		return nil, errors.New("replica: name and service required")
-	}
-	if cfg.TypeID == "" {
-		cfg.TypeID = "IDL:mead/TimeOfDay:1.0"
 	}
 	if cfg.CheckpointEvery == 0 {
 		cfg.CheckpointEvery = DefaultCheckpointEvery
@@ -296,26 +284,14 @@ func (r *Replica) Start() (err error) {
 	if r.cfg.AdaptiveLeadTime > 0 {
 		adaptive = ftmgr.NewAdaptiveThreshold(r.cfg.AdaptiveLeadTime)
 	}
-	monitor := ftmgr.Monitor(r.budget)
-	if r.cfg.RequestFault != nil {
-		r.reqLeak, err = faultinject.NewRequestLeak(*r.cfg.RequestFault, func() {
-			r.logf("replica %s: %s exhausted, crashing", r.name, r.reqLeak.Budget().Name())
-			go r.exit(ExitCrashed)
-		})
-		if err != nil {
-			return err
-		}
-		monitor = resource.MaxOf{r.budget, r.reqLeak.Budget()}
-	}
 	r.mgr, err = ftmgr.NewManager(ftmgr.Config{
 		ReplicaName:      r.name,
 		Group:            r.cfg.Group(),
 		Scheme:           r.cfg.Scheme,
-		Monitor:          monitor,
+		Monitor:          r.budget,
 		LaunchThreshold:  r.cfg.LaunchThreshold,
 		MigrateThreshold: r.cfg.MigrateThreshold,
 		Adaptive:         adaptive,
-		TimerDriven:      r.cfg.MonitorInterval > 0,
 		Member:           r.member,
 		Telemetry:        r.cfg.Telemetry,
 		OnFirstRequest: func() {
@@ -325,9 +301,11 @@ func (r *Replica) Start() (err error) {
 		},
 		OnMigrate: func() {
 			r.logf("replica %s: migrate threshold crossed, handing clients off", r.name)
-			// Crossed on the write path, T2 has a reply's connection open, and
-			// the connection-closed hook rejuvenates once the last one goes;
-			// only the timer-driven poller can cross it with none open.
+			// T2 is crossed writing a reply, usually with that reply's
+			// connection open, and the connection-closed hook rejuvenates once
+			// the last one goes. But requests are dispatched concurrently: a
+			// client that sent one and closed can have its close seen, below
+			// T2, before the reply is written, and then nothing is left open.
 			if _, srv := r.live(); srv != nil && srv.ActiveConnections() == 0 {
 				go r.maybeRejuvenate()
 			}
@@ -368,7 +346,7 @@ func (r *Replica) Start() (err error) {
 	r.addr = r.srv.Addr()
 	iors := make([]giop.IOR, 0, len(keys))
 	for _, key := range keys {
-		keyIOR, err := r.srv.IORFor(r.cfg.TypeID, key)
+		keyIOR, err := r.srv.IORFor(typeID, key)
 		if err != nil {
 			return err
 		}
@@ -419,13 +397,6 @@ func (r *Replica) Start() (err error) {
 		defer r.loopWG.Done()
 		r.checkpointLoop()
 	}()
-	if r.cfg.MonitorInterval > 0 {
-		r.loopWG.Add(1)
-		go func() {
-			defer r.loopWG.Done()
-			r.monitorLoop()
-		}()
-	}
 	r.logf("replica %s: serving %s at %s (scheme %v)", r.name, r.cfg.Service, r.srv.Addr(), r.cfg.Scheme)
 	return nil
 }
@@ -602,21 +573,6 @@ func (r *Replica) checkpointLoop() {
 	}
 }
 
-// monitorLoop is the timer-driven threshold poller used only in the
-// ablation configuration (MonitorInterval > 0).
-func (r *Replica) monitorLoop() {
-	ticker := time.NewTicker(r.cfg.MonitorInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ticker.C:
-			r.mgr.PollThresholds()
-		case <-r.member.Done():
-			return
-		}
-	}
-}
-
 // servant builds the time-of-day application object: the paper's test
 // application ("a simple CORBA client ... requested the time-of-day ...
 // from one of three warm-passively replicated CORBA servers").
@@ -625,9 +581,6 @@ func (r *Replica) servant() orb.Servant {
 		switch op {
 		case "time_of_day":
 			r.requests.Add(1)
-			if r.reqLeak != nil {
-				r.reqLeak.OnRequest()
-			}
 			// Optional at-most-once identity (client id + invocation seq).
 			// Anonymous requests (no args) always execute; identified
 			// retransmissions of an already-executed seq are answered from

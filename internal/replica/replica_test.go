@@ -2,15 +2,18 @@ package replica_test
 
 import (
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"mead/internal/cdr"
 	"mead/internal/client"
 	"mead/internal/faultinject"
 	"mead/internal/ftmgr"
 	"mead/internal/gcs"
+	"mead/internal/giop"
 	"mead/internal/namesvc"
 	"mead/internal/replica"
 )
@@ -383,30 +386,40 @@ func TestWritePathT2RejuvenatesOnceAfterTheSwap(t *testing.T) {
 	}
 }
 
-// TestPollerRejuvenatesReplicaWithNoClient: a replica whose only client closed
-// its reference before T2 has no connection left whose close could rejuvenate
-// it. The timer-driven poller crosses T2 with none open, and that crossing
-// rejuvenates the replica — the one case the migrate callback still starts a
-// quiescence check for.
-func TestPollerRejuvenatesReplicaWithNoClient(t *testing.T) {
-	c := startCluster(t, ftmgr.MeadMessage, 3, func(cfg *replica.ServiceConfig) {
-		cfg.MonitorInterval = 2 * time.Millisecond
-	})
-	s := c.client(ftmgr.MeadMessage)
-	if out := s.Invoke(); out.Err != nil || out.Replica != "r1" {
-		t.Fatalf("first outcome = %+v", out)
+// TestReplyAfterLastCloseRejuvenatesReplica: the ORB dispatches requests
+// concurrently, so a client that sends one request and closes can have its
+// close seen — no connection left open, the replica not yet migrating — before
+// the reply is written. That reply's write hook then crosses T2 with no
+// connection whose close could rejuvenate the replica; only the migrate
+// callback's own quiescence check does.
+func TestReplyAfterLastCloseRejuvenatesReplica(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	c := startCluster(t, ftmgr.MeadMessage, 2, nil)
+	r1 := c.reps[0]
+	r1.Budget().Consume(r1.Budget().Capacity()) // past T2, no leak running
+	req := giop.EncodeRequest(cdr.BigEndian, giop.RequestHeader{
+		RequestID:        1,
+		ResponseExpected: true,
+		ObjectKey:        giop.MakeObjectKey(c.cfg.Service, replica.ObjectName),
+		Operation:        "time_of_day",
+	}, nil)
+	conn, err := net.Dial("tcp", r1.Addr())
+	if err != nil {
+		t.Fatal(err)
 	}
-	_ = s.Close()
-	// Let r1 see the close below T2, where it rejuvenates nothing.
-	time.Sleep(100 * time.Millisecond)
-	c.reps[0].Budget().Consume(c.reps[0].Budget().Capacity())
+	// On one P nothing blocks between the write and the close, so when the
+	// server first reads, EOF is already buffered behind the request.
+	if _, err := conn.Write(req); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.Close()
 	select {
-	case <-c.reps[0].Done():
-		if c.reps[0].ExitReason() != replica.ExitRejuvenated {
-			t.Fatalf("exit reason = %v, want rejuvenated", c.reps[0].ExitReason())
+	case <-r1.Done():
+		if r1.ExitReason() != replica.ExitRejuvenated {
+			t.Fatalf("exit reason = %v, want rejuvenated", r1.ExitReason())
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("r1 crossed T2 with no client and never rejuvenated")
+		t.Fatal("r1 crossed T2 after its last connection closed and never rejuvenated")
 	}
 }
 
@@ -513,8 +526,11 @@ func TestInMemoryBackupAnswersCheckpointedRetransmission(t *testing.T) {
 	}
 }
 
+// TestInjectedFaultCrashesReplica: under a reactive scheme nothing watches
+// the leak, so it exhausts the budget and crashes the replica; the client sees
+// the crash as an exception and the replica exits crashed.
 func TestInjectedFaultCrashesReplica(t *testing.T) {
-	c := startCluster(t, ftmgr.ReactiveNoCache, 1, func(cfg *replica.ServiceConfig) {
+	c := startCluster(t, ftmgr.ReactiveNoCache, 2, func(cfg *replica.ServiceConfig) {
 		cfg.InjectFault = true
 		cfg.Fault = faultinject.Config{
 			BufferBytes: 2048,
@@ -525,8 +541,19 @@ func TestInjectedFaultCrashesReplica(t *testing.T) {
 	})
 	s := c.client(ftmgr.ReactiveNoCache)
 	// The fault activates on the first request.
-	if out := s.Invoke(); out.Err != nil {
-		t.Fatal(out.Err)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		out := s.Invoke()
+		if len(out.Exceptions) > 0 {
+			break
+		}
+		if out.Err != nil {
+			t.Fatal(out.Err)
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the leak's crash never surfaced to the reactive client")
+		}
+		time.Sleep(time.Millisecond)
 	}
 	select {
 	case <-c.reps[0].Done():

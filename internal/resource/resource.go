@@ -10,14 +10,6 @@ import (
 	"sync/atomic"
 )
 
-// Monitor reports the fractional usage of one resource.
-type Monitor interface {
-	// Name identifies the resource (e.g. "memory").
-	Name() string
-	// Fraction returns consumed/capacity; values >= 1 mean exhausted.
-	Fraction() float64
-}
-
 // ErrBadCapacity reports a non-positive capacity.
 var ErrBadCapacity = errors.New("resource: capacity must be positive")
 
@@ -29,8 +21,6 @@ type Budget struct {
 	used     atomic.Int64
 }
 
-var _ Monitor = (*Budget)(nil)
-
 // NewBudget returns a Budget with the given capacity in abstract units
 // (bytes, descriptors, ...).
 func NewBudget(name string, capacity int64) (*Budget, error) {
@@ -40,7 +30,7 @@ func NewBudget(name string, capacity int64) (*Budget, error) {
 	return &Budget{name: name, capacity: capacity}, nil
 }
 
-// Name implements Monitor.
+// Name identifies the resource (e.g. "memory").
 func (b *Budget) Name() string { return b.name }
 
 // Capacity returns the budget's capacity.
@@ -55,7 +45,7 @@ func (b *Budget) Used() int64 {
 	return used
 }
 
-// Fraction implements Monitor.
+// Fraction returns consumed/capacity; values >= 1 mean exhausted.
 func (b *Budget) Fraction() float64 {
 	return float64(b.used.Load()) / float64(b.capacity)
 }
@@ -77,55 +67,4 @@ func (b *Budget) Exhausted() bool {
 // the application in a clean internal state") achieves for the resource.
 func (b *Budget) Reset() {
 	b.used.Store(0)
-}
-
-// Counter is a countable resource (file descriptors, threads) with a cap.
-// It demonstrates that the FT manager's thresholds generalize beyond the
-// memory budget used in the paper's experiments.
-type Counter struct {
-	name string
-	max  int64
-	n    atomic.Int64
-}
-
-var _ Monitor = (*Counter)(nil)
-
-// NewCounter returns a Counter with the given maximum.
-func NewCounter(name string, max int64) (*Counter, error) {
-	if max <= 0 {
-		return nil, ErrBadCapacity
-	}
-	return &Counter{name: name, max: max}, nil
-}
-
-// Name implements Monitor.
-func (c *Counter) Name() string { return c.name }
-
-// Fraction implements Monitor.
-func (c *Counter) Fraction() float64 { return float64(c.n.Load()) / float64(c.max) }
-
-// Acquire takes one unit and reports whether the cap is now reached.
-func (c *Counter) Acquire() (exhausted bool) { return c.n.Add(1) >= c.max }
-
-// Release returns one unit.
-func (c *Counter) Release() { c.n.Add(-1) }
-
-// MaxOf combines monitors, reporting the highest fraction — a conservative
-// composite trigger across several resources.
-type MaxOf []Monitor
-
-var _ Monitor = MaxOf(nil)
-
-// Name implements Monitor.
-func (m MaxOf) Name() string { return "max" }
-
-// Fraction implements Monitor.
-func (m MaxOf) Fraction() float64 {
-	var worst float64
-	for _, mon := range m {
-		if f := mon.Fraction(); f > worst {
-			worst = f
-		}
-	}
-	return worst
 }

@@ -84,46 +84,6 @@ func TestBudgetConcurrentConsume(t *testing.T) {
 	}
 }
 
-func TestCounter(t *testing.T) {
-	c, err := NewCounter("fds", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Acquire() || c.Acquire() {
-		t.Fatal("exhausted early")
-	}
-	if !c.Acquire() {
-		t.Fatal("not exhausted at max")
-	}
-	c.Release()
-	if c.Fraction() != 2.0/3.0 {
-		t.Fatalf("fraction = %v", c.Fraction())
-	}
-	if c.Name() != "fds" {
-		t.Fatalf("name = %q", c.Name())
-	}
-	if _, err := NewCounter("x", 0); !errors.Is(err, ErrBadCapacity) {
-		t.Fatal("zero max accepted")
-	}
-}
-
-func TestMaxOf(t *testing.T) {
-	a, _ := NewBudget("a", 100)
-	b, _ := NewBudget("b", 100)
-	a.Consume(20)
-	b.Consume(90)
-	m := MaxOf{a, b}
-	if m.Fraction() != 0.9 {
-		t.Fatalf("MaxOf fraction = %v", m.Fraction())
-	}
-	if m.Name() != "max" {
-		t.Fatalf("name = %q", m.Name())
-	}
-	if (MaxOf{}).Fraction() != 0 {
-		t.Fatal("empty MaxOf fraction != 0")
-	}
-}
-
 func TestQuickBudgetMonotonic(t *testing.T) {
 	f := func(chunks []uint8) bool {
 		b, _ := NewBudget("m", 1<<20)
