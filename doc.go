@@ -10,7 +10,7 @@
 //
 //   - Building blocks — NewHub, NewNamingServer, NewReplica,
 //     NewRecoveryManager, NewClient — to assemble a deployment by hand (see
-//     examples/timeofday).
+//     ExampleNewRecoveryManager).
 //   - Deployment — NewDeployment boots a complete system (hub + naming +
 //     recovery manager + N replicas) in one call.
 //   - Experiments — Run, RunTable1, RunThresholdSweep, RunFaultFree

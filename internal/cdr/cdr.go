@@ -1,6 +1,8 @@
 // Package cdr implements the subset of OMG Common Data Representation (CDR)
 // marshalling that GIOP messages need: naturally aligned primitive types in
-// either byte order, strings, octet sequences, and encapsulations.
+// either byte order, strings and octet sequences. An encapsulation (an IIOP
+// profile, a stringified IOR) is an octet sequence whose first octet is the
+// byte-order flag; package giop opens one with a fresh Decoder.
 //
 // Alignment is computed relative to the start of the CDR stream (offset 0 =
 // the first byte handed to the Encoder or Decoder). GIOP message bodies and
@@ -11,7 +13,6 @@ package cdr
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 )
 
@@ -57,7 +58,7 @@ type Encoder struct {
 const encoderInitialCap = 128
 
 // maxPooledEncoderCap bounds the buffers the encoder pool retains, so one
-// huge fragmented message does not pin its buffer forever.
+// huge message does not pin its buffer forever.
 const maxPooledEncoderCap = 64 << 10
 
 var encoderPool = sync.Pool{
@@ -100,9 +101,6 @@ func (e *Encoder) Bytes() []byte { return e.buf }
 
 // Len returns the current stream length in bytes.
 func (e *Encoder) Len() int { return len(e.buf) }
-
-// Order returns the encoder's byte order.
-func (e *Encoder) Order() ByteOrder { return e.order }
 
 // Skip appends n zero bytes verbatim — space for a fixed-size prefix (e.g.
 // a GIOP message header) that the caller patches after encoding the body.
@@ -185,17 +183,8 @@ func (e *Encoder) WriteULongLong(v uint64) {
 	}
 }
 
-// WriteShort appends an aligned 16-bit signed integer.
-func (e *Encoder) WriteShort(v int16) { e.WriteUShort(uint16(v)) }
-
-// WriteLong appends an aligned 32-bit signed integer.
-func (e *Encoder) WriteLong(v int32) { e.WriteULong(uint32(v)) }
-
 // WriteLongLong appends an aligned 64-bit signed integer.
 func (e *Encoder) WriteLongLong(v int64) { e.WriteULongLong(uint64(v)) }
-
-// WriteDouble appends an aligned IEEE-754 double.
-func (e *Encoder) WriteDouble(v float64) { e.WriteULongLong(math.Float64bits(v)) }
 
 // WriteString appends a CDR string: ulong length (including the trailing
 // NUL), the bytes, then a NUL terminator.
@@ -211,22 +200,11 @@ func (e *Encoder) WriteOctets(b []byte) {
 	e.buf = append(e.buf, b...)
 }
 
-// WriteEncapsulation appends a CDR encapsulation: an octet-sequence whose
-// payload is its own CDR stream (starting with a byte-order octet) built by
-// fill. The inner stream uses the same byte order as the outer encoder.
-func (e *Encoder) WriteEncapsulation(fill func(*Encoder)) {
-	inner := GetEncoder(e.order)
-	inner.WriteOctet(byte(e.order))
-	fill(inner)
-	e.WriteOctets(inner.Bytes())
-	inner.Release()
-}
-
 // Decoder consumes a CDR stream produced by Encoder (or a conforming CORBA
 // peer). Methods return ErrTruncated when the stream is exhausted early.
 //
 // The decoder never copies or mutates buf; plain Read methods return copies,
-// while the Borrow/InPlace variants return slices aliasing buf (see the
+// while ReadOctetsBorrow returns a slice aliasing buf (see the
 // buffer-ownership rules in docs/PROTOCOL.md §8).
 type Decoder struct {
 	buf    []byte
@@ -280,12 +258,6 @@ func (d *Decoder) Remaining() int { return len(d.buf) - d.pos }
 // start a fresh CDR stream (fresh alignment origin) over a spliced
 // sub-stream such as operation arguments.
 func (d *Decoder) Rest() []byte { return d.buf[d.pos:] }
-
-// Pos returns the current read offset.
-func (d *Decoder) Pos() int { return d.pos }
-
-// Order returns the decoder's byte order.
-func (d *Decoder) Order() ByteOrder { return d.order }
 
 func (d *Decoder) align(n int) error {
 	rem := (d.pos - d.origin) % n
@@ -372,28 +344,10 @@ func (d *Decoder) ReadULongLong() (uint64, error) {
 		uint64(b[4])<<24 | uint64(b[5])<<16 | uint64(b[6])<<8 | uint64(b[7]), nil
 }
 
-// ReadShort reads an aligned 16-bit signed integer.
-func (d *Decoder) ReadShort() (int16, error) {
-	v, err := d.ReadUShort()
-	return int16(v), err
-}
-
-// ReadLong reads an aligned 32-bit signed integer.
-func (d *Decoder) ReadLong() (int32, error) {
-	v, err := d.ReadULong()
-	return int32(v), err
-}
-
 // ReadLongLong reads an aligned 64-bit signed integer.
 func (d *Decoder) ReadLongLong() (int64, error) {
 	v, err := d.ReadULongLong()
 	return int64(v), err
-}
-
-// ReadDouble reads an aligned IEEE-754 double.
-func (d *Decoder) ReadDouble() (float64, error) {
-	v, err := d.ReadULongLong()
-	return math.Float64frombits(v), err
 }
 
 // ReadString reads a CDR string. The result is a copy, safe to retain.
@@ -471,35 +425,4 @@ func (d *Decoder) readStringBytes() ([]byte, error) {
 		return nil, fmt.Errorf("%w: missing NUL terminator", ErrBadString)
 	}
 	return b[:n-1], nil
-}
-
-// ReadEncapsulation reads a CDR encapsulation and returns a Decoder over its
-// payload, positioned after the byte-order octet and honouring the order it
-// declares.
-func (d *Decoder) ReadEncapsulation() (*Decoder, error) {
-	payload, err := d.ReadOctets()
-	if err != nil {
-		return nil, err
-	}
-	if len(payload) == 0 {
-		return nil, fmt.Errorf("cdr: empty encapsulation: %w", ErrTruncated)
-	}
-	inner := NewDecoder(payload, ByteOrder(payload[0]&1))
-	inner.pos = 1
-	return inner, nil
-}
-
-// ReadEncapsulationInPlace reads a CDR encapsulation and returns a Decoder
-// (by value, so it can live on the caller's stack) whose stream aliases the
-// outer buffer instead of copying the payload. Values read from it obey the
-// same borrow rules as the outer decoder.
-func (d *Decoder) ReadEncapsulationInPlace() (Decoder, error) {
-	payload, err := d.ReadOctetsBorrow()
-	if err != nil {
-		return Decoder{}, err
-	}
-	if len(payload) == 0 {
-		return Decoder{}, fmt.Errorf("cdr: empty encapsulation: %w", ErrTruncated)
-	}
-	return Decoder{buf: payload, pos: 1, origin: 0, order: ByteOrder(payload[0] & 1)}, nil
 }

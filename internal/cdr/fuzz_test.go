@@ -75,9 +75,6 @@ func FuzzDecoderStream(f *testing.F) {
 				}
 			}
 			_, _ = d.ReadString()
-			if enc, err := d.ReadEncapsulationInPlace(); err == nil {
-				_, _ = enc.ReadULong()
-			}
 			_, _ = d.ReadUShort()
 			d.Release()
 		}

@@ -252,7 +252,7 @@ func (b *base) noteException(name string) {
 
 // record feeds the completed invocation into the steady or fail-over
 // round-trip histogram. The first invocation is excluded from the steady
-// histogram, mirroring Result.SteadyRTTs: it carries the initial naming
+// histogram (Result.MeanSteadyRTT reads it): it carries the initial naming
 // resolution and connection establishment.
 func (b *base) record(out *Outcome) {
 	b.done++

@@ -7,6 +7,7 @@ import (
 
 	"mead/internal/faultinject"
 	"mead/internal/ftmgr"
+	"mead/internal/telemetry"
 )
 
 // compressed returns a scenario scaled down for CI: ~100 ms of client
@@ -269,15 +270,10 @@ func TestScenarioDefaults(t *testing.T) {
 
 func TestResultDerivedMetrics(t *testing.T) {
 	res := &Result{
-		Scheme:      ftmgr.MeadMessage,
-		Invocations: 4,
-		RTTs: []time.Duration{
-			10 * time.Millisecond, // initial spike (excluded)
-			time.Millisecond,
-			5 * time.Millisecond, // failover spike
-			time.Millisecond,
-		},
-		Failovers:      []FailoverSample{{Index: 2, RTT: 5 * time.Millisecond}},
+		Scheme:         ftmgr.MeadMessage,
+		Invocations:    4,
+		SteadyHist:     telemetry.Snapshot{Count: 2, Sum: 2 * time.Millisecond},
+		FailoverHist:   telemetry.Snapshot{Count: 1, Sum: 5 * time.Millisecond},
 		Exceptions:     map[string]int{"COMM_FAILURE": 2, "TRANSIENT": 1},
 		ServerFailures: 2,
 		GroupBytes:     10000,

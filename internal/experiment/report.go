@@ -9,53 +9,15 @@ import (
 	"mead/internal/stats"
 )
 
-// SteadyRTTs returns the round-trip times of the undisturbed invocations:
-// fail-over spikes and the initial naming-resolution spike are excluded, as
-// in the paper's overhead computation (the baseline RTT is the fault-free
-// request cost).
-func (r *Result) SteadyRTTs() []time.Duration {
-	spikes := make(map[int]bool, len(r.Failovers)+1)
-	for _, f := range r.Failovers {
-		spikes[f.Index] = true
-	}
-	spikes[0] = true // first call resolves through the Naming Service
-	out := make([]time.Duration, 0, len(r.RTTs))
-	for i, rtt := range r.RTTs {
-		if !spikes[i] {
-			out = append(out, rtt)
-		}
-	}
-	return out
-}
-
-// MeanSteadyRTT is the mean undisturbed round-trip time. It reads the
-// telemetry steady-state histogram when the run recorded one (covering
-// every client), falling back to the client-0 RTT series for results built
-// without telemetry.
-func (r *Result) MeanSteadyRTT() time.Duration {
-	if r.SteadyHist.Count > 0 {
-		return r.SteadyHist.Mean()
-	}
-	return stats.Summarize(r.SteadyRTTs()).Mean
-}
+// MeanSteadyRTT is the mean undisturbed round-trip time, read from the
+// telemetry steady-state histogram (every client, fail-over spikes and each
+// client's initial naming resolution excluded).
+func (r *Result) MeanSteadyRTT() time.Duration { return r.SteadyHist.Mean() }
 
 // MeanFailoverTime is the mean RTT of the invocations that performed a
-// fail-over — detection plus recovery, the paper's fail-over time. Like
-// MeanSteadyRTT it prefers the telemetry histogram, falling back to the
-// client-0 fail-over samples.
-func (r *Result) MeanFailoverTime() time.Duration {
-	if r.FailoverHist.Count > 0 {
-		return r.FailoverHist.Mean()
-	}
-	if len(r.Failovers) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, f := range r.Failovers {
-		sum += f.RTT
-	}
-	return sum / time.Duration(len(r.Failovers))
-}
+// fail-over — detection plus recovery, the paper's fail-over time — read from
+// the telemetry fail-over histogram (0 when there was none).
+func (r *Result) MeanFailoverTime() time.Duration { return r.FailoverHist.Mean() }
 
 // Series renders the run as a labelled RTT series (Figures 3 and 4).
 func (r *Result) Series() stats.Series {
@@ -119,8 +81,7 @@ func RunTable1(template Scenario) (*Table1, map[ftmgr.Scheme]*Result, error) {
 	return BuildTable1(results), results, nil
 }
 
-// BuildTable1 derives Table 1 from per-scheme results (exported so benches
-// can reuse results they already hold).
+// BuildTable1 derives Table 1 from per-scheme results.
 func BuildTable1(results map[ftmgr.Scheme]*Result) *Table1 {
 	baseline := results[ftmgr.ReactiveNoCache]
 	var baseRTT, baseFailover float64

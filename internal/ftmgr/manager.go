@@ -595,12 +595,6 @@ func (m *Manager) WrapServerConn(conn net.Conn) net.Conn {
 					req, tracked = st.take(id)
 				}
 			}
-			// Write-side interception sees wire frames one at a time; a
-			// fragmented reply (first frame flagged) is passed through
-			// rather than rewritten mid-stream.
-			if f.Header.Fragmented {
-				return f.Raw, nil
-			}
 			migrate, warm := m.checkThresholds(st)
 			if warm != nil {
 				return prepend(giop.EncodeMeadNotice(warm.Addr, firstIOR(*warm)), f.Raw), nil

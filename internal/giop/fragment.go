@@ -8,66 +8,15 @@ import (
 
 // GIOP 1.1 fragmentation: a message whose header carries the
 // more-fragments flag is continued by Fragment messages (type 7), the last
-// of which clears the flag. TAO fragments large requests/replies this way;
-// the mini-ORB supports it behind WithMaxBodyBytes options, and ReadMessage
-// and ReadFrame reassemble transparently.
+// of which clears the flag. TAO fragments large requests and replies this
+// way. The ORB never fragments what it sends, but ReadMessage,
+// ReadMessagePooled and ReadFrame reassemble whatever a peer sends.
 
 // MsgFragment is the GIOP 1.1 Fragment message type.
 const MsgFragment MsgType = 7
 
 // FlagMoreFragments is bit 1 of the header flags octet.
 const FlagMoreFragments = 0x02
-
-// FragmentMessage splits a complete GIOP message (header + body) into wire
-// messages whose bodies are at most maxBody bytes. A message that already
-// fits is returned unchanged as a single element. Each emitted frame owns
-// its backing array, so later frames can never clobber earlier ones.
-func FragmentMessage(raw []byte, maxBody int) ([][]byte, error) {
-	if maxBody <= 0 {
-		return nil, fmt.Errorf("giop: fragment size must be positive")
-	}
-	if len(raw) < HeaderLen {
-		return nil, fmt.Errorf("giop: message too short to fragment")
-	}
-	h, err := ParseHeader(raw[:HeaderLen])
-	if err != nil {
-		return nil, err
-	}
-	body := raw[HeaderLen:]
-	if len(body) != int(h.Size) {
-		return nil, fmt.Errorf("giop: message length mismatch: header %d, body %d", h.Size, len(body))
-	}
-	if len(body) <= maxBody {
-		return [][]byte{raw}, nil
-	}
-
-	out := make([][]byte, 0, (len(body)+maxBody-1)/maxBody)
-	first := true
-	for off := 0; off < len(body); off += maxBody {
-		end := off + maxBody
-		if end > len(body) {
-			end = len(body)
-		}
-		chunk := body[off:end]
-		hdr := Header{
-			Major:      h.Major,
-			Minor:      1, // fragments are a GIOP >=1.1 feature
-			Order:      h.Order,
-			Type:       h.Type,
-			Size:       uint32(len(chunk)),
-			Fragmented: end < len(body),
-		}
-		if !first {
-			hdr.Type = MsgFragment
-		}
-		frame := make([]byte, HeaderLen+len(chunk))
-		putHeader(frame, hdr)
-		copy(frame[HeaderLen:], chunk)
-		out = append(out, frame)
-		first = false
-	}
-	return out, nil
-}
 
 // hdrScratchPool recycles the 12-byte header read buffers: a stack array
 // would escape through the io.Reader interface and cost one allocation per

@@ -2,11 +2,64 @@ package giop
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
 
 	"mead/internal/cdr"
 )
+
+// fragmentMessage splits a complete GIOP message (header + body) into wire
+// messages whose bodies are at most maxBody bytes, as a fragmenting peer
+// would send it. A message that already fits is returned unchanged as a
+// single element. Each emitted frame owns its backing array, so later frames
+// can never clobber earlier ones.
+func fragmentMessage(raw []byte, maxBody int) ([][]byte, error) {
+	if maxBody <= 0 {
+		return nil, fmt.Errorf("giop: fragment size must be positive")
+	}
+	if len(raw) < HeaderLen {
+		return nil, fmt.Errorf("giop: message too short to fragment")
+	}
+	h, err := ParseHeader(raw[:HeaderLen])
+	if err != nil {
+		return nil, err
+	}
+	body := raw[HeaderLen:]
+	if len(body) != int(h.Size) {
+		return nil, fmt.Errorf("giop: message length mismatch: header %d, body %d", h.Size, len(body))
+	}
+	if len(body) <= maxBody {
+		return [][]byte{raw}, nil
+	}
+
+	out := make([][]byte, 0, (len(body)+maxBody-1)/maxBody)
+	first := true
+	for off := 0; off < len(body); off += maxBody {
+		end := off + maxBody
+		if end > len(body) {
+			end = len(body)
+		}
+		chunk := body[off:end]
+		hdr := Header{
+			Major:      h.Major,
+			Minor:      1, // fragments are a GIOP >=1.1 feature
+			Order:      h.Order,
+			Type:       h.Type,
+			Size:       uint32(len(chunk)),
+			Fragmented: end < len(body),
+		}
+		if !first {
+			hdr.Type = MsgFragment
+		}
+		frame := make([]byte, HeaderLen+len(chunk))
+		putHeader(frame, hdr)
+		copy(frame[HeaderLen:], chunk)
+		out = append(out, frame)
+		first = false
+	}
+	return out, nil
+}
 
 func bigRequest(payload int) []byte {
 	return EncodeRequest(cdr.BigEndian, RequestHeader{
@@ -21,7 +74,7 @@ func bigRequest(payload int) []byte {
 
 func TestFragmentMessageSmallUnchanged(t *testing.T) {
 	msg := bigRequest(10)
-	frames, err := FragmentMessage(msg, 4096)
+	frames, err := fragmentMessage(msg, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +85,7 @@ func TestFragmentMessageSmallUnchanged(t *testing.T) {
 
 func TestFragmentAndReassembleRoundTrip(t *testing.T) {
 	msg := bigRequest(1000)
-	frames, err := FragmentMessage(msg, 128)
+	frames, err := fragmentMessage(msg, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +138,7 @@ func TestFragmentAndReassembleRoundTrip(t *testing.T) {
 
 func TestReadFrameReassemblesFragments(t *testing.T) {
 	msg := bigRequest(600)
-	frames, err := FragmentMessage(msg, 100)
+	frames, err := fragmentMessage(msg, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +172,7 @@ func TestFragmentFramesIndependent(t *testing.T) {
 	const payload, maxBody = 1000, 128
 	msg := bigRequest(payload)
 	body := msg[HeaderLen:]
-	frames, err := FragmentMessage(msg, maxBody)
+	frames, err := fragmentMessage(msg, maxBody)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +214,7 @@ func TestFragmentFramesIndependent(t *testing.T) {
 
 func TestReadMessagePooledRoundTrip(t *testing.T) {
 	msg := bigRequest(1000)
-	frames, err := FragmentMessage(msg, 128)
+	frames, err := fragmentMessage(msg, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +240,7 @@ func TestReadMessagePooledRoundTrip(t *testing.T) {
 
 func TestReadMessagePooledRejectsWrongContinuation(t *testing.T) {
 	msg := bigRequest(600)
-	frames, err := FragmentMessage(msg, 100)
+	frames, err := fragmentMessage(msg, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,22 +254,22 @@ func TestReadMessagePooledRejectsWrongContinuation(t *testing.T) {
 
 func TestFragmentErrors(t *testing.T) {
 	msg := bigRequest(100)
-	if _, err := FragmentMessage(msg, 0); err == nil {
+	if _, err := fragmentMessage(msg, 0); err == nil {
 		t.Fatal("zero fragment size accepted")
 	}
-	if _, err := FragmentMessage(msg[:8], 64); err == nil {
+	if _, err := fragmentMessage(msg[:8], 64); err == nil {
 		t.Fatal("short message accepted")
 	}
 	truncated := append([]byte(nil), msg...)
 	truncated = truncated[:len(truncated)-4]
-	if _, err := FragmentMessage(truncated, 64); err == nil {
+	if _, err := fragmentMessage(truncated, 64); err == nil {
 		t.Fatal("length-mismatched message accepted")
 	}
 }
 
 func TestReassemblyRejectsWrongContinuation(t *testing.T) {
 	msg := bigRequest(600)
-	frames, err := FragmentMessage(msg, 100)
+	frames, err := fragmentMessage(msg, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +287,7 @@ func TestQuickFragmentRoundTrip(t *testing.T) {
 		size := int(payloadLen%4000) + 1
 		frag := int(fragSize%200) + 16
 		msg := bigRequest(size)
-		frames, err := FragmentMessage(msg, frag)
+		frames, err := fragmentMessage(msg, frag)
 		if err != nil {
 			return false
 		}

@@ -39,15 +39,6 @@ type LocateRequestHeader struct {
 	ObjectKey []byte
 }
 
-// EncodeLocateRequestPooled renders a complete LocateRequest message in a
-// pooled encoder; ownership of the returned encoder follows finishMessage.
-func EncodeLocateRequestPooled(order cdr.ByteOrder, hdr LocateRequestHeader) *cdr.Encoder {
-	e := beginMessage(order)
-	e.WriteULong(hdr.RequestID)
-	e.WriteOctets(hdr.ObjectKey)
-	return finishMessage(e, order, MsgLocateRequest)
-}
-
 // DecodeLocateRequest parses a LocateRequest body.
 func DecodeLocateRequest(order cdr.ByteOrder, body []byte) (LocateRequestHeader, error) {
 	d := cdr.NewDecoder(body, order)
@@ -68,43 +59,12 @@ type LocateReplyHeader struct {
 	Status    LocateStatus
 }
 
-// EncodeLocateReply renders a complete LocateReply message; forward, if
-// non-nil, is appended for OBJECT_FORWARD.
-func EncodeLocateReply(order cdr.ByteOrder, hdr LocateReplyHeader, forward *IOR) []byte {
+// EncodeLocateReply renders a complete LocateReply message. The server ORB
+// answers OBJECT_HERE or UNKNOWN_OBJECT and never forwards, so the message
+// has no body after the status.
+func EncodeLocateReply(order cdr.ByteOrder, hdr LocateReplyHeader) []byte {
 	e := beginMessage(order)
 	e.WriteULong(hdr.RequestID)
 	e.WriteULong(uint32(hdr.Status))
-	if hdr.Status == LocateObjectForward && forward != nil {
-		e.Rebase() // the forwarded IOR forms its own alignment origin
-		EncodeIOR(e, *forward)
-	}
 	return copyOut(finishMessage(e, order, MsgLocateReply))
-}
-
-// DecodeLocateReply parses a LocateReply body, returning the forwarded IOR
-// for OBJECT_FORWARD.
-func DecodeLocateReply(order cdr.ByteOrder, body []byte) (LocateReplyHeader, *IOR, error) {
-	d := cdr.NewDecoder(body, order)
-	var hdr LocateReplyHeader
-	var err error
-	if hdr.RequestID, err = d.ReadULong(); err != nil {
-		return hdr, nil, fmt.Errorf("giop: locate reply id: %w", err)
-	}
-	status, err := d.ReadULong()
-	if err != nil {
-		return hdr, nil, fmt.Errorf("giop: locate reply status: %w", err)
-	}
-	if status > uint32(LocateObjectForward) {
-		return hdr, nil, fmt.Errorf("giop: unknown locate status %d", status)
-	}
-	hdr.Status = LocateStatus(status)
-	if hdr.Status != LocateObjectForward {
-		return hdr, nil, nil
-	}
-	inner := cdr.NewDecoder(d.Rest(), order)
-	ior, err := DecodeIOR(inner)
-	if err != nil {
-		return hdr, nil, fmt.Errorf("giop: locate forward body: %w", err)
-	}
-	return hdr, &ior, nil
 }

@@ -7,12 +7,15 @@ import (
 	"mead/internal/cdr"
 )
 
+// TestLocateRequestRoundTrip decodes a LocateRequest as a peer sends it, in
+// either byte order.
 func TestLocateRequestRoundTrip(t *testing.T) {
 	key := MakeObjectKey("timeofday", "clock")
 	for _, order := range []cdr.ByteOrder{cdr.BigEndian, cdr.LittleEndian} {
-		e := EncodeLocateRequestPooled(order, LocateRequestHeader{RequestID: 77, ObjectKey: key})
-		h, body, err := ReadMessage(bytes.NewReader(e.Bytes()))
-		e.Release()
+		e := cdr.NewEncoder(order)
+		e.WriteULong(77)
+		e.WriteOctets(key)
+		h, body, err := ReadMessage(bytes.NewReader(EncodeMessage(order, MsgLocateRequest, e.Bytes())))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -30,56 +33,19 @@ func TestLocateRequestRoundTrip(t *testing.T) {
 }
 
 func TestLocateReplyHereRoundTrip(t *testing.T) {
-	msg := EncodeLocateReply(cdr.BigEndian, LocateReplyHeader{RequestID: 5, Status: LocateObjectHere}, nil)
+	msg := EncodeLocateReply(cdr.BigEndian, LocateReplyHeader{RequestID: 5, Status: LocateObjectHere})
 	h, body, err := ReadMessage(bytes.NewReader(msg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hdr, fwd, err := DecodeLocateReply(h.Order, body)
-	if err != nil {
-		t.Fatal(err)
+	if h.Type != MsgLocateReply {
+		t.Fatalf("type = %v", h.Type)
 	}
-	if hdr.Status != LocateObjectHere || hdr.RequestID != 5 || fwd != nil {
-		t.Fatalf("reply = %+v fwd = %v", hdr, fwd)
-	}
-}
-
-func TestLocateReplyForwardRoundTrip(t *testing.T) {
-	ior := NewIOR("IDL:t:1.0", "127.0.0.1", 9, MakeObjectKey("s", "o"))
-	msg := EncodeLocateReply(cdr.LittleEndian, LocateReplyHeader{RequestID: 6, Status: LocateObjectForward}, &ior)
-	h, body, err := ReadMessage(bytes.NewReader(msg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hdr, fwd, err := DecodeLocateReply(h.Order, body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hdr.Status != LocateObjectForward || fwd == nil {
-		t.Fatalf("reply = %+v", hdr)
-	}
-	prof, err := fwd.IIOP()
-	if err != nil || prof.Port != 9 {
-		t.Fatalf("forward profile = %+v, %v", prof, err)
-	}
-}
-
-func TestDecodeLocateReplyErrors(t *testing.T) {
-	if _, _, err := DecodeLocateReply(cdr.BigEndian, nil); err == nil {
-		t.Fatal("empty body decoded")
-	}
-	e := cdr.NewEncoder(cdr.BigEndian)
-	e.WriteULong(1)
-	e.WriteULong(99)
-	if _, _, err := DecodeLocateReply(cdr.BigEndian, e.Bytes()); err == nil {
-		t.Fatal("unknown status decoded")
-	}
-	// forward status with truncated body
-	e = cdr.NewEncoder(cdr.BigEndian)
-	e.WriteULong(1)
-	e.WriteULong(uint32(LocateObjectForward))
-	if _, _, err := DecodeLocateReply(cdr.BigEndian, e.Bytes()); err == nil {
-		t.Fatal("forward without IOR decoded")
+	d := cdr.NewDecoder(body, h.Order)
+	id, _ := d.ReadULong()
+	status, err := d.ReadULong()
+	if err != nil || id != 5 || LocateStatus(status) != LocateObjectHere || d.Remaining() != 0 {
+		t.Fatalf("reply = id %d, %v, %d bytes left, %v", id, LocateStatus(status), d.Remaining(), err)
 	}
 }
 

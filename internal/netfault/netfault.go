@@ -192,8 +192,6 @@ type DialFunc func(network, addr string, timeout time.Duration) (net.Conn, error
 // keyed on the deterministic request count, so two runs with the same seed
 // and plan inject the identical fault sequence.
 type Injector struct {
-	base DialFunc
-
 	mu         sync.Mutex
 	plan       Plan
 	rng        *rand.Rand
@@ -210,7 +208,6 @@ func NewInjector(seed int64, plan Plan) (*Injector, error) {
 		return nil, err
 	}
 	return &Injector{
-		base:       net.DialTimeout,
 		plan:       plan,
 		rng:        rand.New(rand.NewSource(seed)),
 		fired:      make(map[string]int),
@@ -218,10 +215,6 @@ func NewInjector(seed int64, plan Plan) (*Injector, error) {
 		partitions: make(map[string]time.Time),
 	}, nil
 }
-
-// SetBaseDialer replaces the underlying dialer (tests; default
-// net.DialTimeout). Must be called before any connection is made.
-func (i *Injector) SetBaseDialer(d DialFunc) { i.base = d }
 
 // DialTimeout dials addr and wraps the connection for injection; it
 // matches DialFunc, so it plugs into orb.WithDialer, ftmgr redirection
@@ -235,7 +228,7 @@ func (i *Injector) DialTimeout(network, addr string, timeout time.Duration) (net
 		return nil, &net.OpError{Op: "dial", Net: network, Addr: nil,
 			Err: syscall.ECONNREFUSED}
 	}
-	c, err := i.base(network, addr, timeout)
+	c, err := net.DialTimeout(network, addr, timeout)
 	if err != nil {
 		return nil, err
 	}

@@ -79,7 +79,7 @@ func TestBurstCrossesReplicatedPathInOneWrite(t *testing.T) {
 		wg.Add(1)
 		go func(id uint32) {
 			defer wg.Done()
-			if err := w.writeEncoder(reply(id), 0); err != nil {
+			if err := w.writeEncoder(reply(id)); err != nil {
 				t.Error(err)
 			}
 		}(uint32(i))
@@ -89,7 +89,7 @@ func TestBurstCrossesReplicatedPathInOneWrite(t *testing.T) {
 	if got := rc.writeCount(); got != 0 {
 		t.Fatalf("%d writes reached the transport while the flush was held open", got)
 	}
-	if err := w.writeEncoder(reply(n+1), 0); err != nil {
+	if err := w.writeEncoder(reply(n + 1)); err != nil {
 		t.Fatal(err)
 	}
 	if got := rc.writeCount(); got != 1 {

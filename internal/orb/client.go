@@ -45,26 +45,9 @@ func WithTelemetry(t *telemetry.Telemetry) ClientOption {
 	return clientOptionFunc(func(c *ClientORB) { c.tel = t })
 }
 
-// WithClientByteOrder sets the byte order of requests (default big-endian).
-func WithClientByteOrder(order cdr.ByteOrder) ClientOption {
-	return clientOptionFunc(func(c *ClientORB) { c.order = order })
-}
-
 // WithDialTimeout sets the connect timeout (default 5s).
 func WithDialTimeout(d time.Duration) ClientOption {
 	return clientOptionFunc(func(c *ClientORB) { c.dialTimeout = d })
-}
-
-// WithMaxForwards bounds how many LOCATION_FORWARD / NEEDS_ADDRESSING_MODE
-// retransmissions one invocation may perform (default 8).
-func WithMaxForwards(n int) ClientOption {
-	return clientOptionFunc(func(c *ClientORB) { c.maxForwards = n })
-}
-
-// WithClientMaxBodyBytes enables GIOP 1.1 fragmentation of requests whose
-// bodies exceed n bytes (0 disables; the default).
-func WithClientMaxBodyBytes(n int) ClientOption {
-	return clientOptionFunc(func(c *ClientORB) { c.maxBody = n })
 }
 
 // WithConnectionPool makes the ORB's references share connections: exactly
@@ -84,12 +67,9 @@ func WithConnectionPool() ClientOption {
 
 // ClientORB is the client-side ORB.
 type ClientORB struct {
-	order       cdr.ByteOrder
 	wrap        ConnWrapper
 	dial        DialFunc
 	dialTimeout time.Duration
-	maxForwards int
-	maxBody     int
 	pool        *connPool            // nil unless WithConnectionPool
 	tel         *telemetry.Telemetry // nil-safe; see WithTelemetry
 }
@@ -97,10 +77,8 @@ type ClientORB struct {
 // NewClient returns a client ORB.
 func NewClient(opts ...ClientOption) *ClientORB {
 	c := &ClientORB{
-		order:       cdr.BigEndian,
 		dial:        net.DialTimeout,
 		dialTimeout: 5 * time.Second,
-		maxForwards: 8,
 	}
 	for _, o := range opts {
 		o.applyClient(c)
@@ -158,6 +136,11 @@ func (c *ClientORB) acquire(addr string) (*muxConn, error) {
 	}
 	return mc, nil
 }
+
+// maxForwards bounds the LOCATION_FORWARD / NEEDS_ADDRESSING_MODE
+// retransmissions of one invocation, so a server that forwards to itself
+// cannot loop a caller forever.
+const maxForwards = 8
 
 // Stats counts the transparent recovery actions a reference performed;
 // the experiment harness reads them to report retransmission overheads.
@@ -259,11 +242,11 @@ func (o *ObjectRef) dropLocked() {
 // let go of the connection between finding it and registering on it: a request
 // is on the old connection, which then stays open until it has left, or on the
 // new one.
-func (o *ObjectRef) enter(twoWay bool) (*muxConn, request, []byte, error) {
+func (o *ObjectRef) enter() (*muxConn, request, []byte, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if o.mc != nil {
-		if rq, err := o.mc.register(twoWay); err == nil {
+		if rq, err := o.mc.register(); err == nil {
 			return o.mc, rq, o.tgt.key, nil
 		}
 		o.dropLocked()
@@ -276,7 +259,7 @@ func (o *ObjectRef) enter(twoWay bool) (*muxConn, request, []byte, error) {
 		return nil, request{}, nil, err
 	}
 	o.mc = mc
-	rq, err := mc.register(twoWay)
+	rq, err := mc.register()
 	return mc, rq, o.tgt.key, err
 }
 
@@ -306,15 +289,15 @@ func (o *ObjectRef) Invoke(op string, writeArgs func(*cdr.Encoder), readResult f
 		defer o.serial.Unlock()
 	}
 	o.invocations.Add(1)
-	for attempt := 0; attempt <= o.orb.maxForwards; attempt++ {
-		mc, rq, key, err := o.enter(true)
+	for attempt := 0; attempt <= maxForwards; attempt++ {
+		mc, rq, key, err := o.enter()
 		if err != nil {
 			return err
 		}
 		sentAt := time.Now()
 		o.orb.tel.RequestSent(mc.addr)
 		hdr, mb, err := mc.roundTrip(rq, func(reqID uint32) *cdr.Encoder {
-			return giop.EncodeRequestPooled(o.orb.order, giop.RequestHeader{
+			return giop.EncodeRequestPooled(cdr.BigEndian, giop.RequestHeader{
 				RequestID:        reqID,
 				ResponseExpected: true,
 				ObjectKey:        key,
@@ -325,12 +308,8 @@ func (o *ObjectRef) Invoke(op string, writeArgs func(*cdr.Encoder), readResult f
 			return err
 		}
 		o.orb.tel.ReplyReceived(time.Since(sentAt))
-		// roundTrip handed us ownership of mb; rh and d borrow it, and
-		// settleReply takes both over.
-		if hdr.Type != giop.MsgReply {
-			mb.Release()
-			return &giop.SystemException{RepoID: giop.RepoInternal, Minor: 22, Completed: giop.CompletedMaybe}
-		}
+		// roundTrip handed us ownership of mb, which holds a Reply; rh and d
+		// borrow it, and settleReply takes both over.
 		rh, d, err := giop.DecodeReply(hdr.Order, mb.Bytes())
 		if err != nil {
 			mb.Release()
@@ -407,63 +386,4 @@ func settleReply(status giop.ReplyStatus, op string, d *cdr.Decoder, mb *giop.Ms
 	default:
 		return replyDone, giop.IOR{}, &giop.SystemException{RepoID: giop.RepoInternal, Minor: 21, Completed: giop.CompletedMaybe}
 	}
-}
-
-// InvokeOneWay sends a request without expecting a reply (a CORBA oneway
-// operation). Delivery is best-effort, as the standard specifies.
-func (o *ObjectRef) InvokeOneWay(op string, writeArgs func(*cdr.Encoder)) error {
-	if o.orb.pool == nil {
-		o.serial.Lock()
-		defer o.serial.Unlock()
-	}
-	o.invocations.Add(1)
-	mc, rq, key, err := o.enter(false)
-	if err != nil {
-		return err
-	}
-	return mc.send(rq, func(reqID uint32) *cdr.Encoder {
-		return giop.EncodeRequestPooled(o.orb.order, giop.RequestHeader{
-			RequestID:        reqID,
-			ResponseExpected: false,
-			ObjectKey:        key,
-			Operation:        op,
-		}, writeArgs)
-	})
-}
-
-// Locate issues a GIOP LocateRequest for the reference's object; its answer
-// is matched to it by request id exactly like a Reply. An OBJECT_FORWARD
-// answer retargets the reference, mirroring the ORB's LOCATION_FORWARD
-// handling.
-func (o *ObjectRef) Locate() (giop.LocateStatus, error) {
-	if o.orb.pool == nil {
-		o.serial.Lock()
-		defer o.serial.Unlock()
-	}
-	mc, rq, key, err := o.enter(true)
-	if err != nil {
-		return 0, err
-	}
-	hdr, mb, err := mc.roundTrip(rq, func(reqID uint32) *cdr.Encoder {
-		return giop.EncodeLocateRequestPooled(o.orb.order, giop.LocateRequestHeader{
-			RequestID: reqID,
-			ObjectKey: key,
-		})
-	})
-	if err != nil {
-		return 0, giop.CommFailure(16, giop.CompletedMaybe)
-	}
-	// The status and the OBJECT_FORWARD IOR (nil otherwise) are copied out.
-	defer mb.Release()
-	if hdr.Type != giop.MsgLocateReply {
-		return 0, &giop.SystemException{RepoID: giop.RepoInternal, Minor: 23, Completed: giop.CompletedMaybe}
-	}
-	lh, fwd, err := giop.DecodeLocateReply(hdr.Order, mb.Bytes())
-	if err != nil {
-		return 0, fmt.Errorf("orb: corrupt locate reply: %w", err)
-	}
-	if fwd != nil {
-		o.follow(mc, *fwd)
-	}
-	return lh.Status, nil
 }

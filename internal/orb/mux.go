@@ -8,10 +8,10 @@ import (
 	"mead/internal/giop"
 )
 
-// muxReply is one answer (Reply or LocateReply) matched to the caller that
-// issued its request id; the caller takes ownership of mb (the pooled buffer
-// holding the body) and must Release it. With takeOver set it is no answer at
-// all: it hands its receiver the read side.
+// muxReply is one Reply matched to the caller that issued its request id; the
+// caller takes ownership of mb (the pooled buffer holding the body) and must
+// Release it. With takeOver set it is no answer at all: it hands its receiver
+// the read side.
 type muxReply struct {
 	hdr      giop.Header
 	mb       *giop.MsgBuf
@@ -60,7 +60,7 @@ func newMuxConn(orb *ClientORB, addr string) *muxConn {
 // request is one request registered on a muxConn.
 type request struct {
 	id     uint32
-	ch     chan muxReply // where its answer arrives; nil for a oneway
+	ch     chan muxReply // where its answer arrives
 	reader bool          // registered while nobody was reading: its caller reads
 }
 
@@ -82,12 +82,12 @@ func (m *muxConn) dial() {
 	m.orb.tel.ConnOpened(m.addr)
 }
 
-// register allocates the next request id and, for a two-way request, the
-// channel its answer arrives on, from the free list leave returns it to. A
-// caller without the read side is sent exactly one answer or error — by deliver
-// or by fail, whichever takes its id out of pending under mu; the one with it
-// reads its answer off the wire and is sent nothing.
-func (m *muxConn) register(twoWay bool) (request, error) {
+// register allocates the next request id and the channel its answer arrives
+// on, from the free list leave returns it to. A caller without the read side
+// is sent exactly one answer or error — by deliver or by fail, whichever takes
+// its id out of pending under mu; the one with it reads its answer off the
+// wire and is sent nothing.
+func (m *muxConn) register() (request, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.err != nil {
@@ -96,9 +96,6 @@ func (m *muxConn) register(twoWay bool) (request, error) {
 	rq := request{id: m.nextID}
 	m.nextID++
 	m.inflight++
-	if !twoWay {
-		return rq, nil
-	}
 	if n := len(m.free); n > 0 {
 		rq.ch = m.free[n-1]
 		m.free = m.free[:n-1]
@@ -117,7 +114,7 @@ func (m *muxConn) register(twoWay bool) (request, error) {
 // and returns the matching answer or the error the connection died of. Of the
 // callers in roundTrip at once, the one with the read side reads for them all.
 func (m *muxConn) roundTrip(rq request, build func(reqID uint32) *cdr.Encoder) (giop.Header, *giop.MsgBuf, error) {
-	if err := m.cw.writeEncoder(build(rq.id), m.orb.maxBody); err != nil {
+	if err := m.cw.writeEncoder(build(rq.id)); err != nil {
 		m.fail(giop.CommFailure(10, giop.CompletedMaybe))
 	}
 	r := muxReply{takeOver: rq.reader}
@@ -135,22 +132,10 @@ func (m *muxConn) roundTrip(rq request, build func(reqID uint32) *cdr.Encoder) (
 	return r.hdr, r.mb, r.err
 }
 
-// send writes a request that expects no reply (oneway). Its id comes from the
-// same counter, so it cannot collide with a two-way request in flight.
-func (m *muxConn) send(rq request, build func(reqID uint32) *cdr.Encoder) error {
-	err := m.cw.writeEncoder(build(rq.id), m.orb.maxBody)
-	if err != nil {
-		err = giop.CommFailure(14, giop.CompletedMaybe)
-		m.fail(err)
-	}
-	m.leave(rq, false)
-	return err
-}
-
 // readUntil is what the holder of the read side does: read logical GIOP
-// messages (reassembling fragments), hand each Reply/LocateReply to the caller
-// that issued its request id, and stop at the answer to id or at an error,
-// which the whole stream dies of.
+// messages (reassembling fragments), hand each Reply to the caller that issued
+// its request id, and stop at the answer to id or at an error, which the whole
+// stream dies of.
 func (m *muxConn) readUntil(id uint32) (muxReply, error) {
 	for {
 		h, mb, err := giop.ReadMessagePooled(m.rd)
@@ -171,25 +156,22 @@ func (m *muxConn) readUntil(id uint32) (muxReply, error) {
 	}
 }
 
-// answeredID extracts the id of the request an inbound message answers.
-func answeredID(h giop.Header, body []byte) (id uint32, err error) {
+// answeredID extracts the id of the request an inbound message answers. The
+// client sends only two-way Requests, so only a Reply answers one.
+func answeredID(h giop.Header, body []byte) (uint32, error) {
 	switch h.Type {
 	case giop.MsgReply:
-		id, err = giop.ReplyIDOf(h.Order, body)
-	case giop.MsgLocateReply:
-		d := cdr.GetDecoder(body, h.Order)
-		id, err = d.ReadULong()
-		d.Release()
+		id, err := giop.ReplyIDOf(h.Order, body)
+		if err != nil {
+			return 0, &giop.SystemException{RepoID: giop.RepoInternal, Minor: 20, Completed: giop.CompletedMaybe}
+		}
+		return id, nil
 	case giop.MsgCloseConnection:
 		return 0, giop.CommFailure(13, giop.CompletedNo)
 	default:
 		// MessageError (or anything else): the peer rejected our stream.
 		return 0, &giop.SystemException{RepoID: giop.RepoInternal, Minor: 22, Completed: giop.CompletedMaybe}
 	}
-	if err != nil {
-		return 0, &giop.SystemException{RepoID: giop.RepoInternal, Minor: 20, Completed: giop.CompletedMaybe}
-	}
-	return id, nil
 }
 
 // deliver hands the reply to the waiting caller, if any. A reply to an
@@ -219,9 +201,7 @@ func (m *muxConn) leave(rq request, reader bool) {
 	m.mu.Lock()
 	m.inflight--
 	delete(m.pending, rq.id)
-	if rq.ch != nil {
-		m.free = append(m.free, rq.ch)
-	}
+	m.free = append(m.free, rq.ch)
 	if reader {
 		m.reader = nil
 		for _, ch := range m.pending {

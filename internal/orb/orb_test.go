@@ -4,14 +4,12 @@ import (
 	"errors"
 	"io"
 	"net"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"mead/internal/cdr"
 	"mead/internal/giop"
-	"mead/internal/interceptor"
 )
 
 const typeID = "IDL:mead/TimeOfDay:1.0"
@@ -21,8 +19,8 @@ var clockKey = giop.MakeObjectKey("timeofday", "clock")
 // echoServant implements time_of_day (returns a longlong) and echo.
 type echoServant struct {
 	calls atomic.Int64
-	// called ticks once per invocation, letting tests of asynchronous
-	// paths (oneway) wait on the event itself rather than poll the counter.
+	// called ticks once per invocation, letting tests of requests that get
+	// no reply (oneway) wait on the event itself rather than poll the counter.
 	called chan struct{}
 }
 
@@ -364,21 +362,6 @@ func TestConnClosedHook(t *testing.T) {
 	}
 }
 
-func TestLittleEndianInterop(t *testing.T) {
-	s, _ := startServer(t, WithServerByteOrder(cdr.LittleEndian))
-	o := objectFor(t, s, WithClientByteOrder(cdr.LittleEndian))
-	var got string
-	err := o.Invoke("echo", func(e *cdr.Encoder) { e.WriteString("le") },
-		func(d *cdr.Decoder) error {
-			v, err := d.ReadString()
-			got = v
-			return err
-		})
-	if err != nil || got != "le" {
-		t.Fatalf("echo = %q, %v", got, err)
-	}
-}
-
 func TestServerDoubleCloseSafe(t *testing.T) {
 	s, _ := startServer(t)
 	_ = s.Close()
@@ -396,35 +379,6 @@ func TestStartBeforeListen(t *testing.T) {
 	s := NewServer()
 	if err := s.Start(); err == nil {
 		t.Fatal("Start before Listen succeeded")
-	}
-}
-
-func TestLocateObjectHere(t *testing.T) {
-	s, _ := startServer(t)
-	o := objectFor(t, s)
-	status, err := o.Locate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if status != giop.LocateObjectHere {
-		t.Fatalf("status = %v, want OBJECT_HERE", status)
-	}
-}
-
-func TestLocateUnknownObject(t *testing.T) {
-	s, _ := startServer(t)
-	ior, err := s.IORFor(typeID, giop.MakeObjectKey("timeofday", "missing"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := NewClient().Object(ior)
-	defer o.Close()
-	status, err := o.Locate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if status != giop.LocateUnknownObject {
-		t.Fatalf("status = %v, want UNKNOWN_OBJECT", status)
 	}
 }
 
@@ -544,39 +498,5 @@ func TestConcurrentObjectRefs(t *testing.T) {
 	}
 	if servant.calls.Load() != n*20 {
 		t.Fatalf("servant calls = %d, want %d", servant.calls.Load(), n*20)
-	}
-}
-
-func TestFragmentedThroughInterceptorPassThrough(t *testing.T) {
-	// A pass-through interceptor must forward fragmented streams intact.
-	s := NewServer(WithServerMaxBodyBytes(100))
-	servant := &echoServant{called: make(chan struct{}, 64)}
-	s.Register(clockKey, servant)
-	if err := s.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = s.Close() })
-	o := objectFor(t, s,
-		WithClientMaxBodyBytes(100),
-		WithClientConnWrapper(func(c net.Conn) net.Conn {
-			return interceptor.New(c, interceptor.Hooks{})
-		}))
-
-	payload := strings.Repeat("x", 1500)
-	var got string
-	err := o.Invoke("echo", func(e *cdr.Encoder) { e.WriteString(payload) },
-		func(d *cdr.Decoder) error {
-			v, err := d.ReadString()
-			got = v
-			return err
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != payload {
-		t.Fatal("fragmented echo through interceptor corrupted")
 	}
 }

@@ -81,22 +81,11 @@ func WithServerConnWrapper(w ConnWrapper) ServerOption {
 
 // WithServerWireWrapper interposes w on every accepted connection *beneath*
 // the interceptor wrapper: w sees the raw socket bytes, and the conn wrapper
-// (the MEAD interceptor) is layered on top of w's result. The chaos harness
-// attaches wire-fault injection here so faults hit below the interceptor
-// boundary, exactly where a real network fault would.
+// (the MEAD interceptor) is layered on top of w's result. Its one setter is
+// TestBurstCrossesReplicatedPathInOneWrite, which counts the writes that
+// reach the socket; the chaos harness injects its faults on the client side.
 func WithServerWireWrapper(w ConnWrapper) ServerOption {
 	return serverOptionFunc(func(s *ServerORB) { s.wireWrap = w })
-}
-
-// WithServerByteOrder sets the byte order of replies (default big-endian).
-func WithServerByteOrder(order cdr.ByteOrder) ServerOption {
-	return serverOptionFunc(func(s *ServerORB) { s.order = order })
-}
-
-// WithServerMaxBodyBytes enables GIOP 1.1 fragmentation of replies whose
-// bodies exceed n bytes (0 disables; the default).
-func WithServerMaxBodyBytes(n int) ServerOption {
-	return serverOptionFunc(func(s *ServerORB) { s.maxBody = n })
 }
 
 // WithServerTelemetry attaches the process telemetry: the ORB records a
@@ -117,11 +106,9 @@ func WithConnClosedHook(hook func(active int)) ServerOption {
 
 // ServerORB is the server-side ORB: listener plus object adapter.
 type ServerORB struct {
-	order        cdr.ByteOrder
 	wrap         ConnWrapper
 	wireWrap     ConnWrapper
 	onConnClosed func(active int)
-	maxBody      int
 	served       atomic.Uint64
 	tel          *telemetry.Telemetry // nil-safe; see WithServerTelemetry
 
@@ -138,7 +125,6 @@ type ServerORB struct {
 // NewServer returns a server ORB.
 func NewServer(opts ...ServerOption) *ServerORB {
 	s := &ServerORB{
-		order:    cdr.BigEndian,
 		servants: make(map[string]Servant),
 		conns:    make(map[net.Conn]struct{}),
 	}
@@ -321,7 +307,7 @@ func (s *ServerORB) serveConn(conn net.Conn) {
 			hdr, args, err := giop.DecodeRequest(h.Order, mb.Bytes())
 			if err != nil {
 				mb.Release()
-				_ = cw.write(nil, giop.EncodeMessage(s.order, giop.MsgMessageError, nil), 0)
+				_ = cw.write(nil, giop.EncodeMessage(cdr.BigEndian, giop.MsgMessageError, nil))
 				return
 			}
 			// serveConn's own wg slot keeps the counter above zero, so this
@@ -348,7 +334,7 @@ func (s *ServerORB) serveConn(conn net.Conn) {
 			// Reply-direction types and anything outside GIOP 1.1's numbering
 			// are a protocol error on a server connection.
 			mb.Release()
-			_ = cw.write(nil, giop.EncodeMessage(s.order, giop.MsgMessageError, nil), 0)
+			_ = cw.write(nil, giop.EncodeMessage(cdr.BigEndian, giop.MsgMessageError, nil))
 			return
 		}
 	}
@@ -359,7 +345,7 @@ func (s *ServerORB) serveConn(conn net.Conn) {
 func (s *ServerORB) handleLocate(cw *connWriter, h giop.Header, body []byte) error {
 	hdr, err := giop.DecodeLocateRequest(h.Order, body)
 	if err != nil {
-		return cw.write(nil, giop.EncodeMessage(s.order, giop.MsgMessageError, nil), 0)
+		return cw.write(nil, giop.EncodeMessage(cdr.BigEndian, giop.MsgMessageError, nil))
 	}
 	s.mu.Lock()
 	_, known := s.servants[string(hdr.ObjectKey)]
@@ -368,9 +354,8 @@ func (s *ServerORB) handleLocate(cw *connWriter, h giop.Header, body []byte) err
 	if known {
 		status = giop.LocateObjectHere
 	}
-	reply := giop.EncodeLocateReply(s.order,
-		giop.LocateReplyHeader{RequestID: hdr.RequestID, Status: status}, nil)
-	if err := cw.write(nil, reply, s.maxBody); err != nil {
+	reply := giop.EncodeLocateReply(cdr.BigEndian, giop.LocateReplyHeader{RequestID: hdr.RequestID, Status: status})
+	if err := cw.write(nil, reply); err != nil {
 		return fmt.Errorf("orb: write locate reply: %w", err)
 	}
 	return nil
@@ -410,7 +395,7 @@ func (s *ServerORB) dispatchRequest(conn net.Conn, cw *connWriter, hdr giop.Requ
 		status = giop.ReplyNoException
 		sysEx  *giop.SystemException
 		userEx *UserException
-		result = cdr.GetEncoder(s.order)
+		result = cdr.GetEncoder(cdr.BigEndian)
 	)
 	defer result.Release()
 	if servant == nil {
@@ -435,7 +420,7 @@ func (s *ServerORB) dispatchRequest(conn net.Conn, cw *connWriter, hdr giop.Requ
 	// The reply stays in its pooled encoder: cw owns it from here and
 	// releases it after the vectored write, skipping the exact-size copy
 	// EncodeReply would make.
-	reply := giop.EncodeReplyPooled(s.order, giop.ReplyHeader{RequestID: hdr.RequestID, Status: status},
+	reply := giop.EncodeReplyPooled(cdr.BigEndian, giop.ReplyHeader{RequestID: hdr.RequestID, Status: status},
 		func(e *cdr.Encoder) {
 			switch status {
 			case giop.ReplyNoException:
@@ -446,7 +431,7 @@ func (s *ServerORB) dispatchRequest(conn net.Conn, cw *connWriter, hdr giop.Requ
 				e.WriteString(userEx.RepoID)
 			}
 		})
-	if err := cw.writeEncoder(reply, s.maxBody); err != nil {
+	if err := cw.writeEncoder(reply); err != nil {
 		_ = conn.Close()
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"net"
 	"strings"
 	"testing"
-	"time"
 
 	"mead/internal/cdr"
 	"mead/internal/giop"
@@ -49,11 +48,14 @@ func readRequest(conn net.Conn) (giop.RequestHeader, bool) {
 	return hdr, err == nil
 }
 
-// transports are the two ways a reference can hold its connection.
-var transports = []struct {
+// transport is a way a reference can hold its connection.
+type transport struct {
 	name string
 	opts []ClientOption
-}{
+}
+
+// transports are the two ways a reference can hold its connection.
+var transports = []transport{
 	{"private", nil},
 	{"shared", []ClientOption{WithConnectionPool()}},
 }
@@ -129,53 +131,6 @@ func TestOneTransport(t *testing.T) {
 				}
 			}
 		}},
-		{"fragmented request and reply", func(t *testing.T, bind binder) {
-			s, _ := startServer(t, WithServerMaxBodyBytes(128))
-			ior, _ := s.IORFor(typeID, clockKey)
-			o := bind(ior, WithClientMaxBodyBytes(128))
-			payload := strings.Repeat("fragmentation!", 200) // ~2.8 KB
-			if got, err := invokeEcho(o, payload); err != nil || got != payload {
-				t.Fatalf("fragmented echo: %d bytes back, %v; want %d", len(got), err, len(payload))
-			}
-		}},
-		{"locate against dead server", func(t *testing.T, bind binder) {
-			s, _ := startServer(t)
-			ior, _ := s.IORFor(typeID, clockKey)
-			o := bind(ior)
-			if status, err := o.Locate(); err != nil || status != giop.LocateObjectHere {
-				t.Fatalf("locate = %v, %v; want OBJECT_HERE", status, err)
-			}
-			s.Crash()
-			if _, err := o.Locate(); !isCommFailure(err) {
-				t.Fatalf("locate against dead server = %v, want COMM_FAILURE", err)
-			}
-		}},
-		{"oneway", func(t *testing.T, bind binder) {
-			s, servant := startServer(t)
-			ior, _ := s.IORFor(typeID, clockKey)
-			o := bind(ior)
-			if err := o.InvokeOneWay("time_of_day", nil); err != nil {
-				t.Fatal(err)
-			}
-			// Oneway has no reply; a subsequent two-way call on the same
-			// connection confirms the stream stayed aligned.
-			if _, err := invokeTime(o); err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < 2; i++ {
-				select {
-				case <-servant.called:
-				case <-time.After(5 * time.Second):
-					t.Fatalf("servant calls = %d, want 2", servant.calls.Load())
-				}
-			}
-			if st := o.Stats(); st.Invocations != 2 {
-				t.Fatalf("stats = %+v", st)
-			}
-			if got := s.ActiveConnections(); got != 1 {
-				t.Fatalf("the two calls used %d connections, want 1", got)
-			}
-		}},
 		{"forward loop bounded", func(t *testing.T, bind binder) {
 			// A server that forwards to itself forever must not loop: the ORB
 			// gives up after maxForwards and raises COMM_FAILURE.
@@ -193,12 +148,12 @@ func TestOneTransport(t *testing.T) {
 					}
 				}
 			})
-			o := bind(selfIOR, WithMaxForwards(3))
+			o := bind(selfIOR)
 			if err := o.Invoke("time_of_day", nil, nil); !isCommFailure(err) {
 				t.Fatalf("err = %v, want COMM_FAILURE after forward limit", err)
 			}
-			if st := o.Stats(); st.Forwards != 4 { // attempts 0..3 each forwarded
-				t.Fatalf("forwards = %d", st.Forwards)
+			if st := o.Stats(); st.Forwards != maxForwards+1 { // attempts 0..maxForwards each forwarded
+				t.Fatalf("forwards = %d, want %d", st.Forwards, maxForwards+1)
 			}
 		}},
 	}

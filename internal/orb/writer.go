@@ -7,13 +7,12 @@ import (
 	"sync/atomic"
 
 	"mead/internal/cdr"
-	"mead/internal/giop"
 )
 
 // connWriter serializes concurrent message writes on one connection and
 // coalesces them. Each writer announces itself (pending) before taking the
-// lock; after queueing its frame segments, the last writer out flushes the
-// whole queue as ONE vectored write (net.Buffers → writev on TCP, or the
+// lock; after queueing its frame, the last writer out flushes the whole
+// queue as ONE vectored write (net.Buffers → writev on TCP, or the
 // interposed connection's own WriteBuffers), so a burst of concurrent frames
 // leaves in a single syscall without ever being copied into an intermediate
 // coalescing buffer. Every frame on the wire is still a standalone standard
@@ -40,24 +39,12 @@ type connWriter struct {
 }
 
 // write sends one complete message — msg, backed by the pooled encoder e when
-// e is non-nil (as returned by the EncodeRequestPooled family) — fragmenting
-// it above maxBody when that is positive. Ownership of e transfers to the
-// writer, which Releases it once the bytes are on the wire. The message is
-// queued, and flushed unless another writer has already committed to following
-// it; on a solo connection it goes straight to the transport instead.
-func (w *connWriter) write(e *cdr.Encoder, msg []byte, maxBody int) error {
-	if maxBody > 0 && len(msg)-giop.HeaderLen > maxBody {
-		// Cold path: FragmentMessage copies the chunks into frames that own
-		// their arrays, so the encoder can be recycled right away.
-		frames, err := giop.FragmentMessage(msg, maxBody)
-		if e != nil {
-			e.Release()
-		}
-		if err != nil {
-			return err
-		}
-		return w.enqueue(nil, frames...)
-	}
+// e is non-nil (as returned by the EncodeRequestPooled family). Ownership of e
+// transfers to the writer, which Releases it once the bytes are on the wire.
+// The message is queued, and flushed unless another writer has already
+// committed to following it; on a solo connection it goes straight to the
+// transport instead.
+func (w *connWriter) write(e *cdr.Encoder, msg []byte) error {
 	if w.solo {
 		_, err := w.conn.Write(msg)
 		if e != nil {
@@ -69,22 +56,22 @@ func (w *connWriter) write(e *cdr.Encoder, msg []byte, maxBody int) error {
 }
 
 // writeEncoder writes the message held in a pooled encoder.
-func (w *connWriter) writeEncoder(e *cdr.Encoder, maxBody int) error {
-	return w.write(e, e.Bytes(), maxBody)
+func (w *connWriter) writeEncoder(e *cdr.Encoder) error {
+	return w.write(e, e.Bytes())
 }
 
-// enqueue adds the wire segments of one message (with the encoder backing
-// them, if pooled) and runs the last-writer-out flush protocol. The Gosched
-// between enqueueing and the flush decision lets every already-runnable
-// caller queue its frame first; under a burst the whole queue then leaves
-// in a single vectored write, which matters most when GOMAXPROCS is small
-// and writers would otherwise run (and flush) strictly one after another.
-func (w *connWriter) enqueue(owned *cdr.Encoder, segs ...[]byte) error {
+// enqueue adds one message (with the encoder backing it, if pooled) and runs
+// the last-writer-out flush protocol. The Gosched between enqueueing and the
+// flush decision lets every already-runnable caller queue its frame first;
+// under a burst the whole queue then leaves in a single vectored write, which
+// matters most when GOMAXPROCS is small and writers would otherwise run (and
+// flush) strictly one after another.
+func (w *connWriter) enqueue(owned *cdr.Encoder, msg []byte) error {
 	w.pending.Add(1)
 	w.mu.Lock()
 	err := w.err
 	if err == nil {
-		w.bufs = append(w.bufs, segs...)
+		w.bufs = append(w.bufs, msg)
 		if owned != nil {
 			w.owned = append(w.owned, owned)
 		}

@@ -55,7 +55,7 @@ func TestWriterFlushesConcurrentFramesTogether(t *testing.T) {
 		wg.Add(1)
 		go func(id uint32) {
 			defer wg.Done()
-			if err := w.writeEncoder(req(id), 0); err != nil {
+			if err := w.writeEncoder(req(id)); err != nil {
 				t.Error(err)
 			}
 		}(uint32(i))
@@ -67,7 +67,7 @@ func TestWriterFlushesConcurrentFramesTogether(t *testing.T) {
 	w.pending.Add(-1)
 	// The next writer leaves last: its single flush carries all n+1 frames
 	// (one writev on a TCP connection).
-	if err := w.writeEncoder(req(n+1), 0); err != nil {
+	if err := w.writeEncoder(req(n + 1)); err != nil {
 		t.Fatal(err)
 	}
 	if got := rc.writeCount(); got != n+1 {
@@ -78,7 +78,7 @@ func TestWriterFlushesConcurrentFramesTogether(t *testing.T) {
 	}
 
 	// A lone message flushes at once, on its own.
-	if err := w.writeEncoder(req(n+2), 0); err != nil {
+	if err := w.writeEncoder(req(n + 2)); err != nil {
 		t.Fatal(err)
 	}
 	if got := rc.writeCount(); got != n+2 {

@@ -8,7 +8,6 @@ import (
 	"mead/internal/faultinject"
 	"mead/internal/ftmgr"
 	"mead/internal/gcs"
-	"mead/internal/idl"
 	"mead/internal/namesvc"
 	"mead/internal/recovery"
 	"mead/internal/replica"
@@ -60,10 +59,6 @@ type (
 	Hub = gcs.Hub
 	// NamingServer is the Naming Service daemon.
 	NamingServer = namesvc.Server
-	// NamingClient is a session with the Naming Service: it connects on
-	// first use, keeps that connection for every later call, and releases
-	// it on Close.
-	NamingClient = namesvc.Client
 
 	// RecoveryConfig parameterizes the Recovery Manager.
 	RecoveryConfig = recovery.Config
@@ -141,9 +136,6 @@ func RunTable1(template Scenario) (*Table1, map[Scheme]*Result, error) {
 	return experiment.RunTable1(template)
 }
 
-// BuildTable1 derives Table 1 from already-collected per-scheme results.
-func BuildTable1(results map[Scheme]*Result) *Table1 { return experiment.BuildTable1(results) }
-
 // RunThresholdSweep reproduces Figure 5 (bandwidth versus rejuvenation
 // threshold).
 func RunThresholdSweep(template Scenario, thresholds []float64, schemes []Scheme) ([]SweepPoint, error) {
@@ -179,10 +171,6 @@ func ServeMetrics(addr string, t *Telemetry) (*MetricsServer, error) {
 // NewNamingServer returns an unstarted Naming Service.
 func NewNamingServer() *NamingServer { return namesvc.NewServer() }
 
-// NewNamingClient returns a client for the Naming Service at addr. Close it
-// when done: it holds one connection from its first call on.
-func NewNamingClient(addr string) *NamingClient { return namesvc.NewClient(addr) }
-
 // NewReplica returns an unstarted replica named name.
 func NewReplica(name string, cfg ServiceConfig) (*Replica, error) { return replica.New(name, cfg) }
 
@@ -196,16 +184,6 @@ func DialGroup(hubAddr, memberName string) (*gcs.Member, error) {
 
 // NewClient builds a client strategy.
 func NewClient(cfg ClientConfig) (Strategy, error) { return client.New(cfg) }
-
-// IDLFile is a parsed OMG IDL compilation unit.
-type IDLFile = idl.File
-
-// ParseIDL parses OMG IDL source (the subset in internal/idl).
-func ParseIDL(src string) (*IDLFile, error) { return idl.Parse(src) }
-
-// GenerateStubs emits Go client stubs and servant adapters for parsed IDL,
-// as the cmd/mead-idl compiler does.
-func GenerateStubs(f *IDLFile, pkg string) ([]byte, error) { return idl.Generate(f, pkg) }
 
 // Summarize computes descriptive statistics over a duration series.
 func Summarize(series []time.Duration) Summary { return stats.Summarize(series) }

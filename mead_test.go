@@ -97,16 +97,3 @@ func TestPublicStatsHelpers(t *testing.T) {
 		t.Fatalf("outliers = %+v", out)
 	}
 }
-
-func TestPublicNamingRoundTrip(t *testing.T) {
-	srv := NewNamingServer()
-	if err := srv.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	c := NewNamingClient(srv.Addr())
-	defer c.Close()
-	if _, err := c.List("x/"); err != nil {
-		t.Fatal(err)
-	}
-}
