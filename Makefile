@@ -106,7 +106,8 @@ bench:
 	$(GO) test -run '^$$' -bench 'GIOPRequestEncode|GIOPRequestDecode|GIOPReplyDecode|RequestParse|Invocations' -benchmem -benchtime=20000x .
 
 ## fuzz-smoke: a short burst over each fuzz target (decode paths and the CDR
-## string reader, the control-plane frame reader) to keep them healthy;
+## string reader, the control-plane frame reader, the interceptor's read
+## side against giop.FrameAt) to keep them healthy;
 ## CI-friendly at under a minute.
 fuzz-smoke:
 	$(GO) test ./internal/giop/ -run '^$$' -fuzz FuzzDecodeRequest -fuzztime 8s
@@ -116,3 +117,4 @@ fuzz-smoke:
 	$(GO) test ./internal/durable/ -run '^$$' -fuzz FuzzLogRecordDecode -fuzztime 8s
 	$(GO) test ./internal/durable/ -run '^$$' -fuzz FuzzCheckpointDecode -fuzztime 8s
 	$(GO) test ./internal/frame/ -run '^$$' -fuzz FuzzReader -fuzztime 8s
+	$(GO) test ./internal/interceptor/ -run '^$$' -fuzz FuzzReadSplitsLikeFrameAt -fuzztime 8s

@@ -4,8 +4,10 @@ import (
 	"errors"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"mead/internal/cdr"
 	"mead/internal/gcs"
 	"mead/internal/giop"
 	"mead/internal/interceptor"
@@ -18,14 +20,6 @@ import (
 // the client-side times out, and a CORBA COMM_FAILURE exception is
 // propagated up to the client application."
 const DefaultQueryTimeout = 10 * time.Millisecond
-
-// FailoverEvent describes one client-side hand-off performed by the
-// interceptor, for the experiment's fail-over accounting.
-type FailoverEvent struct {
-	Scheme Scheme
-	Target string
-	At     time.Time
-}
 
 // DialFunc opens a transport connection; the chaos harness substitutes
 // netfault's injecting dialer (default net.DialTimeout).
@@ -50,8 +44,6 @@ type ClientConfig struct {
 	// chaos harness injects here so even recovery dials cross the faulty
 	// network.
 	Dial DialFunc
-	// OnFailover observes completed hand-offs (metrics).
-	OnFailover func(FailoverEvent)
 	// Telemetry, when set, records fail-over notices, transport swaps, and
 	// interceptor-driven retransmissions as recovery-trace events.
 	Telemetry *telemetry.Telemetry
@@ -60,10 +52,8 @@ type ClientConfig struct {
 // ClientManager is the Proactive Fault-Tolerance Manager half embedded in
 // the client-side interceptor.
 type ClientManager struct {
-	cfg ClientConfig
-
-	mu        sync.Mutex
-	failovers int
+	cfg       ClientConfig
+	failovers atomic.Int64
 }
 
 // NewClientManager validates cfg and returns a ClientManager.
@@ -91,19 +81,49 @@ func NewClientManager(cfg ClientConfig) (*ClientManager, error) {
 }
 
 // Failovers returns how many hand-offs this manager has performed.
-func (cm *ClientManager) Failovers() int {
-	cm.mu.Lock()
-	defer cm.mu.Unlock()
-	return cm.failovers
+func (cm *ClientManager) Failovers() int { return int(cm.failovers.Load()) }
+
+// swapTo repoints c at conn, a transport to target, and records the swap. A
+// fail-over counts only when the stream moves to another replica: a redial
+// to the same one after a wire fault is not one.
+func (cm *ClientManager) swapTo(c *interceptor.Conn, conn net.Conn, target string, failover bool) {
+	c.SwapUnder(conn)
+	cm.cfg.Telemetry.ConnSwapped(target)
+	if failover {
+		cm.failovers.Add(1)
+	}
 }
 
-func (cm *ClientManager) noteFailover(target string) {
-	cm.mu.Lock()
-	cm.failovers++
-	cm.mu.Unlock()
-	if cm.cfg.OnFailover != nil {
-		cm.cfg.OnFailover(FailoverEvent{Scheme: cm.cfg.Scheme, Target: target, At: time.Now()})
+// lastRequest is the request a client connection sent last: the one a
+// fabricated NEEDS_ADDRESSING_MODE reply makes the ORB retransmit. Both client
+// hook sets keep one per connection.
+type lastRequest struct {
+	id    uint32
+	order cdr.ByteOrder
+	ok    bool
+}
+
+// note is the write hook of both client hook sets: it remembers each Request
+// and passes every frame through.
+func (r *lastRequest) note(_ *interceptor.Conn, f giop.Frame) ([]byte, error) {
+	if f.Kind == giop.FrameGIOP && f.Header.Type == giop.MsgRequest {
+		if id, err := giop.RequestIDOf(f.Header.Order, f.Body()); err == nil {
+			*r = lastRequest{id: id, order: f.Header.Order, ok: true}
+		}
 	}
+	return f.Raw, nil
+}
+
+// needsAddressing fabricates the NEEDS_ADDRESSING_MODE reply to the last
+// request, or returns nil when none was sent.
+func (r *lastRequest) needsAddressing() []byte {
+	if !r.ok {
+		return nil
+	}
+	return giop.EncodeReply(r.order, giop.ReplyHeader{
+		RequestID: r.id,
+		Status:    giop.ReplyNeedsAddressingMode,
+	}, nil)
 }
 
 // WrapClientConn interposes the scheme's client-side interceptor on a
@@ -136,9 +156,7 @@ type meadConn struct {
 	pending       net.Conn
 	pendingTarget string
 
-	lastRequestID uint32
-	lastOrder     giop.Header
-	haveRequest   bool
+	last lastRequest
 	// holding: the read hook put a transport in pending and has not yet
 	// looked for it behind a reply. It is the read hook's alone, so a reply
 	// with no hand-off in progress passes without taking mu.
@@ -275,9 +293,7 @@ func (mc *meadConn) release() {
 func (mc *meadConn) repair(c *interceptor.Conn) (string, bool) {
 	cm := mc.cm
 	if pending, target := mc.takePending(); pending != nil {
-		c.SwapUnder(pending)
-		cm.cfg.Telemetry.ConnSwapped(target)
-		cm.noteFailover(target)
+		cm.swapTo(c, pending, target, true)
 		return target, true
 	}
 	addr := c.Under().RemoteAddr()
@@ -289,8 +305,7 @@ func (mc *meadConn) repair(c *interceptor.Conn) (string, bool) {
 	if err != nil {
 		return "", false
 	}
-	c.SwapUnder(newConn)
-	cm.cfg.Telemetry.ConnSwapped(target)
+	cm.swapTo(c, newConn, target, false)
 	return target, true
 }
 
@@ -304,16 +319,7 @@ func (mc *meadConn) repair(c *interceptor.Conn) (string, bool) {
 func (cm *ClientManager) meadHooks() interceptor.Hooks {
 	mc := &meadConn{cm: cm}
 	return interceptor.Hooks{
-		OnWriteFrame: func(c *interceptor.Conn, f giop.Frame) ([]byte, error) {
-			if f.Kind == giop.FrameGIOP && f.Header.Type == giop.MsgRequest {
-				if id, err := giop.RequestIDOf(f.Header.Order, f.Body()); err == nil {
-					mc.lastRequestID = id
-					mc.lastOrder = f.Header
-					mc.haveRequest = true
-				}
-			}
-			return f.Raw, nil
-		},
+		OnWriteFrame: mc.last.note,
 		OnReadFrame: func(c *interceptor.Conn, f giop.Frame) ([]byte, error) {
 			switch f.Kind {
 			case giop.FrameMEAD:
@@ -345,9 +351,7 @@ func (cm *ClientManager) meadHooks() interceptor.Hooks {
 						// The failing replica's final reply is fully buffered;
 						// repoint the stream before handing the reply up, so
 						// the next request already flows to the new replica.
-						c.SwapUnder(pending)
-						cm.cfg.Telemetry.ConnSwapped(target)
-						cm.noteFailover(target)
+						cm.swapTo(c, pending, target, true)
 					}
 				}
 				return f.Raw, nil
@@ -360,17 +364,12 @@ func (cm *ClientManager) meadHooks() interceptor.Hooks {
 			// wire fault rather than the managed migration. Repair the
 			// transport and fabricate NEEDS_ADDRESSING so the unmodified
 			// ORB retransmits the in-flight request.
-			if !mc.haveRequest {
+			fabricated := mc.last.needsAddressing()
+			if fabricated == nil {
 				return nil, false
 			}
-			if _, ok := mc.repair(c); !ok {
-				return nil, false
-			}
-			fabricated := giop.EncodeReply(mc.lastOrder.Order, giop.ReplyHeader{
-				RequestID: mc.lastRequestID,
-				Status:    giop.ReplyNeedsAddressingMode,
-			}, nil)
-			return fabricated, true
+			_, ok := mc.repair(c)
+			return fabricated, ok
 		},
 		OnWriteError: func(c *interceptor.Conn, writeErr error) bool {
 			// The request frame itself failed to leave: repair and let the
@@ -391,41 +390,23 @@ func (cm *ClientManager) meadHooks() interceptor.Hooks {
 // the query timeout, redirect the connection, and fabricate a
 // NEEDS_ADDRESSING_MODE reply that makes the client ORB retransmit.
 func (cm *ClientManager) needsAddrHooks() interceptor.Hooks {
-	var (
-		lastRequestID uint32
-		lastOrder     = giop.Header{Order: 0}
-		haveRequest   bool
-	)
+	var last lastRequest
 	return interceptor.Hooks{
-		OnWriteFrame: func(c *interceptor.Conn, f giop.Frame) ([]byte, error) {
-			if f.Kind == giop.FrameGIOP && f.Header.Type == giop.MsgRequest {
-				if id, err := giop.RequestIDOf(f.Header.Order, f.Body()); err == nil {
-					lastRequestID = id
-					lastOrder = f.Header
-					haveRequest = true
-				}
-			}
-			return f.Raw, nil
-		},
+		OnWriteFrame: last.note,
 		OnReadEOF: func(c *interceptor.Conn, readErr error) ([]byte, bool) {
-			if !haveRequest {
+			fabricated := last.needsAddressing()
+			if fabricated == nil {
 				return nil, false
 			}
-			if !cm.redirectToPrimary(c) {
-				return nil, false // timeout: COMM_FAILURE reaches the app
-			}
-			fabricated := giop.EncodeReply(lastOrder.Order, giop.ReplyHeader{
-				RequestID: lastRequestID,
-				Status:    giop.ReplyNeedsAddressingMode,
-			}, nil)
-			return fabricated, true
+			_, ok := cm.redirectToPrimary(c) // on a timeout COMM_FAILURE reaches the app
+			return fabricated, ok
 		},
 		OnWriteError: func(c *interceptor.Conn, writeErr error) bool {
 			// The request died on the way out (e.g. a mid-frame reset).
 			// Redirect to the current primary and resume: the interceptor
 			// rewrites the whole frame, so no fabricated reply is needed —
 			// and the ORB never sees the resend, so it is recorded here.
-			target, ok := cm.redirectToPrimaryAddr(c)
+			target, ok := cm.redirectToPrimary(c)
 			if ok {
 				cm.cfg.Telemetry.Retransmitted(target)
 			}
@@ -436,15 +417,8 @@ func (cm *ClientManager) needsAddrHooks() interceptor.Hooks {
 
 // redirectToPrimary performs the NEEDS_ADDRESSING recovery: query the group
 // for the agreed-upon primary within the query timeout, dial it, and swap
-// the interceptor's transport over.
-func (cm *ClientManager) redirectToPrimary(c *interceptor.Conn) bool {
-	_, ok := cm.redirectToPrimaryAddr(c)
-	return ok
-}
-
-// redirectToPrimaryAddr is redirectToPrimary, also reporting the primary's
-// address for telemetry labels.
-func (cm *ClientManager) redirectToPrimaryAddr(c *interceptor.Conn) (string, bool) {
+// the interceptor's transport over. It reports the primary's address.
+func (cm *ClientManager) redirectToPrimary(c *interceptor.Conn) (string, bool) {
 	primary, ok := cm.queryPrimary()
 	if !ok {
 		return "", false
@@ -453,9 +427,7 @@ func (cm *ClientManager) redirectToPrimaryAddr(c *interceptor.Conn) (string, boo
 	if err != nil {
 		return "", false
 	}
-	c.SwapUnder(newConn)
-	cm.cfg.Telemetry.ConnSwapped(primary.Addr)
-	cm.noteFailover(primary.Addr)
+	cm.swapTo(c, newConn, primary.Addr, true)
 	return primary.Addr, true
 }
 

@@ -3,6 +3,7 @@ package ftmgr
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"slices"
 	"sync"
@@ -643,7 +644,7 @@ func (p *serverPipe) reply(id uint32) []giop.MeadMessage {
 	}()
 	var mead []giop.MeadMessage
 	for {
-		f, err := giop.ReadFrame(p.peer)
+		f, err := readFrame(p.peer)
 		if err != nil {
 			p.t.Fatal(err)
 		}
@@ -656,6 +657,21 @@ func (p *serverPipe) reply(id uint32) []giop.MeadMessage {
 		p.t.Fatal(err)
 	}
 	return mead
+}
+
+// readFrame reads one whole frame off r, a byte at a time so that nothing
+// behind it is consumed.
+func readFrame(r io.Reader) (giop.Frame, error) {
+	buf := make([]byte, 0, giop.HeaderLen)
+	for {
+		if f, n, err := giop.FrameAt(buf); err != nil || n > 0 {
+			return f, err
+		}
+		buf = append(buf, 0)
+		if _, err := io.ReadFull(r, buf[len(buf)-1:]); err != nil {
+			return giop.Frame{}, err
+		}
+	}
 }
 
 func requireMead(t *testing.T, got []giop.MeadMessage, typ giop.MeadType, addr string) {

@@ -9,8 +9,11 @@ import (
 // GIOP 1.1 fragmentation: a message whose header carries the
 // more-fragments flag is continued by Fragment messages (type 7), the last
 // of which clears the flag. TAO fragments large requests and replies this
-// way. The ORB never fragments what it sends, but ReadMessage,
-// ReadMessagePooled and ReadFrame reassemble whatever a peer sends.
+// way. The ORB never fragments what it sends, but the two readers reassemble
+// whatever a peer sends: ReadMessagePooled (and its copying form ReadMessage)
+// into one pooled body, FrameAt in place. Both bound a train by its wire
+// length, headers included, so a stream of empty fragments cannot grow a
+// reader without limit.
 
 // MsgFragment is the GIOP 1.1 Fragment message type.
 const MsgFragment MsgType = 7
@@ -35,27 +38,6 @@ func readHeader(r io.Reader) (Header, error) {
 	return h, err
 }
 
-// readMessageRaw reads a single wire message without reassembly.
-func readMessageRaw(r io.Reader) (Header, []byte, error) {
-	h, err := readHeader(r)
-	if err != nil {
-		return Header{}, nil, err
-	}
-	body := make([]byte, h.Size)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return Header{}, nil, fmt.Errorf("giop: short body for %v: %w", h.Type, err)
-	}
-	return h, body, nil
-}
-
-// rawFrame re-renders a wire frame from its parsed parts.
-func rawFrame(h Header, body []byte) []byte {
-	frame := make([]byte, 0, HeaderLen+len(body))
-	frame = append(frame, EncodeHeader(h)...)
-	frame = append(frame, body...)
-	return frame
-}
-
 // ReadMessagePooled reads one logical GIOP message into a pooled buffer,
 // reassembling GIOP 1.1 fragments single-copy: each fragment body is read
 // from the transport directly into its final position in the destination
@@ -71,6 +53,7 @@ func ReadMessagePooled(r io.Reader) (Header, *MsgBuf, error) {
 		return Header{}, nil, err
 	}
 	mb := GetMsgBuf(int(h.Size))
+	wire := HeaderLen + len(mb.b)
 	if _, err := io.ReadFull(r, mb.b); err != nil {
 		mb.Release()
 		return Header{}, nil, fmt.Errorf("giop: short body for %v: %w", h.Type, err)
@@ -85,11 +68,11 @@ func ReadMessagePooled(r io.Reader) (Header, *MsgBuf, error) {
 			mb.Release()
 			return Header{}, nil, fmt.Errorf("giop: expected Fragment, got %v", fh.Type)
 		}
-		off := len(mb.b)
-		if off+int(fh.Size) > MaxMessageSize() {
+		if wire += HeaderLen + int(fh.Size); wire > MaxMessageSize {
 			mb.Release()
-			return Header{}, nil, fmt.Errorf("%w: reassembled message", ErrTooLarge)
+			return Header{}, nil, fmt.Errorf("%w: fragment train", ErrTooLarge)
 		}
+		off := len(mb.b)
 		mb.grow(off + int(fh.Size))
 		if _, err := io.ReadFull(r, mb.b[off:]); err != nil {
 			mb.Release()

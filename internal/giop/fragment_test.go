@@ -2,6 +2,7 @@ package giop
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -142,25 +143,42 @@ func TestReadFrameReassemblesFragments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wire bytes.Buffer
-	for _, f := range frames {
-		wire.Write(f)
-	}
-	wireLen := wire.Len()
-	f, err := ReadFrame(&wire)
-	if err != nil {
-		t.Fatal(err)
+	wire := bytes.Join(frames, nil)
+	f, n, err := FrameAt(wire)
+	if err != nil || n != len(wire) {
+		t.Fatalf("FrameAt = %d, %v; want the whole %d-byte train", n, err, len(wire))
 	}
 	if f.Kind != FrameGIOP || f.Header.Type != MsgRequest || f.Header.Fragmented {
 		t.Fatalf("frame = %+v", f.Header)
 	}
 	// Raw preserves every wire byte (pass-through fidelity).
-	if len(f.Raw) != wireLen {
-		t.Fatalf("raw = %d bytes, wire = %d", len(f.Raw), wireLen)
+	if !bytes.Equal(f.Raw, wire) {
+		t.Fatalf("raw = %d bytes, wire = %d", len(f.Raw), len(wire))
 	}
 	// Body is the assembled logical body.
-	if !bytes.Equal(f.Body(), msg[HeaderLen:]) {
+	if !bytes.Equal(f.Body(), msg[HeaderLen:]) || int(f.Header.Size) != len(f.Body()) {
 		t.Fatal("assembled frame body differs")
+	}
+	// The train counts only once its last fragment is in.
+	requireWaitsAtEveryBoundary(t, wire)
+}
+
+// TestFragmentTrainBoundedByWireLength: a train of empty fragments has no
+// body to speak of, but its headers alone pass MaxMessageSize. Both readers
+// must refuse it instead of holding every header.
+func TestFragmentTrainBoundedByWireLength(t *testing.T) {
+	const fragments = MaxMessageSize/HeaderLen + 1
+	wire := make([]byte, 0, (fragments+1)*HeaderLen)
+	wire = append(wire, EncodeHeader(Header{Major: 1, Minor: 1, Type: MsgRequest, Fragmented: true})...)
+	more := EncodeHeader(Header{Major: 1, Minor: 1, Type: MsgFragment, Fragmented: true})
+	for i := 0; i < fragments; i++ {
+		wire = append(wire, more...)
+	}
+	if _, _, err := FrameAt(wire); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("FrameAt: err = %v, want ErrTooLarge", err)
+	}
+	if _, _, err := ReadMessagePooled(bytes.NewReader(wire)); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("ReadMessagePooled: err = %v, want ErrTooLarge", err)
 	}
 }
 

@@ -3,7 +3,6 @@ package giop
 import (
 	"errors"
 	"fmt"
-	"io"
 
 	"mead/internal/cdr"
 )
@@ -77,7 +76,7 @@ func ParseMeadHeader(b []byte) (MeadType, uint32, error) {
 		return 0, 0, fmt.Errorf("%w: unsupported version %d", ErrBadMeadFrame, b[4])
 	}
 	n := uint32(b[8])<<24 | uint32(b[9])<<16 | uint32(b[10])<<8 | uint32(b[11])
-	if int64(n) > int64(MaxMessageSize()) {
+	if n > MaxMessageSize {
 		return 0, 0, fmt.Errorf("%w: %d-byte payload", ErrTooLarge, n)
 	}
 	return MeadType(b[5]), n, nil
@@ -125,9 +124,10 @@ const (
 	FrameMEAD
 )
 
-// Frame is one whole frame read off a connection: either a GIOP message or
-// a MEAD message, together with its raw wire bytes so interceptors can
-// forward it verbatim.
+// Frame is one whole frame of a connection's byte stream, as FrameAt splits
+// it off: a GIOP message (a whole fragment train counts as one) or a MEAD
+// message, together with its raw wire bytes so interceptors can forward it
+// verbatim.
 type Frame struct {
 	Kind FrameKind
 	// GIOP fields (Kind == FrameGIOP). For a fragmented message, Header
@@ -154,93 +154,108 @@ func (f Frame) Body() []byte {
 	return f.Raw[MeadHeaderLen:]
 }
 
-// ReadFrame reads one GIOP or MEAD frame from r. This is the read primitive
-// of the interceptors, which must see frame boundaries to filter MEAD
-// messages and fabricate replies. The frame's Raw is freshly allocated;
-// per-connection readers use ReadFrameInto to recycle a scratch buffer.
-func ReadFrame(r io.Reader) (Frame, error) {
-	f, _, err := ReadFrameInto(r, nil)
-	return f, err
+// FrameAt parses the whole frame at the head of buf where it lies: a MEAD
+// frame, a GIOP message, or a complete GIOP 1.1 fragment train. n is the
+// frame's length on the wire. n == 0 with a nil error means buf holds only a
+// prefix of the frame: wait for more bytes. A non-nil error means the head of
+// buf can never become a valid frame: bad magic or version, a length over
+// MaxMessageSize, or a train continued by anything but a Fragment.
+//
+// The frame aliases buf. Raw is buf[:n:n], capped so that appending to it
+// cannot scribble on the next frame; a train's Raw keeps every wire byte and
+// its Body is assembled into a fresh slice. It is the one function that
+// decides where a frame ends, for the interceptor's reads and writes alike and
+// for the netfault shim.
+func FrameAt(buf []byte) (Frame, int, error) {
+	var fr Framer
+	return fr.FrameAt(buf)
 }
 
-// ReadFrameInto reads one frame like ReadFrame, reusing scratch as the
-// frame's backing storage when it is large enough (growing it otherwise).
-// It returns the frame and the buffer to pass to the next call. The frame
-// — including Raw, Body, and the MEAD payload — aliases that buffer and is
-// valid only until the next ReadFrameInto call with it; retain a copy, not
-// the frame. Fragmented GIOP messages take an allocating slow path so Raw
-// can hold every original wire byte.
-func ReadFrameInto(r io.Reader, scratch []byte) (Frame, []byte, error) {
-	// The header is parsed in the pooled scratch itself: a local copy would
-	// escape through the error paths and cost an allocation per frame.
-	hb := hdrScratchPool.Get().(*[HeaderLen]byte)
-	defer hdrScratchPool.Put(hb)
-	if _, err := io.ReadFull(r, hb[:]); err != nil {
-		return Frame{}, scratch, err
+// A Framer is FrameAt for a buffer that grows at its end between calls, as a
+// connection's inbound buffer does. It remembers how far it has walked the
+// fragment train at the buffer's head, so a train that arrives a fragment per
+// read is walked once in all, not from its first header on every read. The
+// zero value is ready, and a call that returns a frame or an error leaves it
+// zero. A caller that drops the bytes at its buffer's head before the frame
+// there is whole must go on with a zero Framer.
+type Framer struct {
+	walked int // offset of the next train header to parse; 0 outside a train
+}
+
+// FrameAt is the package's FrameAt, resuming the walk of a train where the
+// previous call stopped.
+func (fr *Framer) FrameAt(buf []byte) (Frame, int, error) {
+	if len(buf) < HeaderLen { // both header formats are 12 bytes
+		return Frame{}, 0, nil
 	}
-	switch string(hb[:4]) {
-	case Magic:
-		h, err := ParseHeader(hb[:])
-		if err != nil {
-			return Frame{}, scratch, err
-		}
-		if !h.Fragmented {
-			scratch = growBytes(scratch[:0], HeaderLen+int(h.Size))
-			copy(scratch, hb[:])
-			if _, err := io.ReadFull(r, scratch[HeaderLen:]); err != nil {
-				return Frame{}, scratch, fmt.Errorf("giop: short GIOP frame body: %w", err)
-			}
-			return Frame{Kind: FrameGIOP, Header: h, Raw: scratch}, scratch, nil
-		}
-		f, err := readFragmentedFrame(r, h, *hb)
-		return f, scratch, err
+	switch string(buf[:4]) {
 	case MeadMagic:
-		t, n, err := ParseMeadHeader(hb[:])
+		t, size, err := ParseMeadHeader(buf[:MeadHeaderLen])
 		if err != nil {
-			return Frame{}, scratch, err
+			return Frame{}, 0, err
 		}
-		scratch = growBytes(scratch[:0], MeadHeaderLen+int(n))
-		copy(scratch, hb[:])
-		if _, err := io.ReadFull(r, scratch[MeadHeaderLen:]); err != nil {
-			return Frame{}, scratch, fmt.Errorf("giop: short MEAD frame body: %w", err)
+		n := MeadHeaderLen + int(size)
+		if len(buf) < n {
+			return Frame{}, 0, nil
 		}
-		f := Frame{Kind: FrameMEAD, Mead: MeadMessage{Type: t, Payload: scratch[MeadHeaderLen:]}, Raw: scratch}
-		return f, scratch, nil
+		raw := buf[:n:n]
+		return Frame{Kind: FrameMEAD, Mead: MeadMessage{Type: t, Payload: raw[MeadHeaderLen:]}, Raw: raw}, n, nil
+	case Magic:
+		h, err := ParseHeader(buf[:HeaderLen])
+		if err != nil {
+			return Frame{}, 0, err
+		}
+		if h.Fragmented {
+			return fr.trainAt(buf, h)
+		}
+		n := HeaderLen + int(h.Size)
+		if len(buf) < n {
+			return Frame{}, 0, nil
+		}
+		return Frame{Kind: FrameGIOP, Header: h, Raw: buf[:n:n]}, n, nil
 	default:
-		return Frame{}, scratch, fmt.Errorf("%w: % x", ErrBadMagic, hb[:4])
+		return Frame{}, 0, fmt.Errorf("%w: % x", ErrBadMagic, buf[:4])
 	}
 }
 
-// readFragmentedFrame reassembles the continuation fragments of a message
-// whose first wire frame (header hb, already parsed as h) carried the
-// more-fragments flag. Raw keeps every original wire byte so pass-through
-// interceptors forward the stream unchanged; Header and Body describe the
-// assembled logical message.
-func readFragmentedFrame(r io.Reader, h Header, hb [HeaderLen]byte) (Frame, error) {
-	raw := make([]byte, HeaderLen+int(h.Size))
-	copy(raw, hb[:])
-	if _, err := io.ReadFull(r, raw[HeaderLen:]); err != nil {
-		return Frame{}, fmt.Errorf("giop: short GIOP frame body: %w", err)
-	}
-	body := append([]byte(nil), raw[HeaderLen:]...)
-	all := raw
-	fragmented := true
-	for fragmented {
-		fh, fbody, err := readMessageRaw(r)
+// trainAt is FrameAt for a message whose first header, h, carries the
+// more-fragments flag. It walks the train's headers from where the last call
+// stopped, without copying anything; the body is assembled once the last
+// fragment is in.
+func (fr *Framer) trainAt(buf []byte, h Header) (Frame, int, error) {
+	n := max(fr.walked, HeaderLen+int(h.Size))
+	fr.walked = 0
+	at := n // the last header parsed
+	for more := true; more; {
+		if len(buf) < n+HeaderLen {
+			fr.walked = n
+			return Frame{}, 0, nil
+		}
+		fh, err := ParseHeader(buf[n : n+HeaderLen])
 		if err != nil {
-			return Frame{}, fmt.Errorf("giop: reading continuation fragment: %w", err)
+			return Frame{}, 0, err
 		}
 		if fh.Type != MsgFragment {
-			return Frame{}, fmt.Errorf("giop: expected Fragment, got %v", fh.Type)
+			return Frame{}, 0, fmt.Errorf("giop: expected Fragment, got %v", fh.Type)
 		}
-		if len(body)+len(fbody) > MaxMessageSize() {
-			return Frame{}, fmt.Errorf("%w: reassembled frame", ErrTooLarge)
+		if at, n = n, n+HeaderLen+int(fh.Size); n > MaxMessageSize {
+			return Frame{}, 0, fmt.Errorf("%w: fragment train", ErrTooLarge)
 		}
-		all = append(all, rawFrame(fh, fbody)...)
-		body = append(body, fbody...)
-		fragmented = fh.Fragmented
+		more = fh.Fragmented
+	}
+	if len(buf) < n {
+		fr.walked = at // parse the last header again when its body is in
+		return Frame{}, 0, nil
+	}
+	raw := buf[:n:n]
+	body := make([]byte, 0, n)
+	for off := 0; off < n; {
+		fh, _ := ParseHeader(raw[off : off+HeaderLen])
+		off += HeaderLen
+		body = append(body, raw[off:off+int(fh.Size)]...)
+		off += int(fh.Size)
 	}
 	h.Fragmented = false
 	h.Size = uint32(len(body))
-	return Frame{Kind: FrameGIOP, Header: h, Raw: all, assembled: body}, nil
+	return Frame{Kind: FrameGIOP, Header: h, Raw: raw, assembled: body}, n, nil
 }

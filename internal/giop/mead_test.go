@@ -3,7 +3,6 @@ package giop
 import (
 	"bytes"
 	"errors"
-	"io"
 	"testing"
 
 	"mead/internal/cdr"
@@ -48,9 +47,9 @@ func TestMeadFailoverRoundTrip(t *testing.T) {
 		encode func(string, IOR) []byte
 	}{{MeadFailover, EncodeMeadFailover}, {MeadNotice, EncodeMeadNotice}} {
 		frame := tc.encode("127.0.0.1:7001", ior)
-		f, err := ReadFrame(bytes.NewReader(frame))
-		if err != nil {
-			t.Fatal(err)
+		f, n, err := FrameAt(frame)
+		if err != nil || n != len(frame) {
+			t.Fatalf("FrameAt = %d, %v", n, err)
 		}
 		if f.Kind != FrameMEAD || f.Mead.Type != tc.typ {
 			t.Fatalf("frame = %+v", f)
@@ -79,58 +78,71 @@ func TestDecodeMeadFailoverErrors(t *testing.T) {
 	}
 }
 
+// requireWaitsAtEveryBoundary asserts that FrameAt asks for more bytes on
+// every proper prefix of a whole frame.
+func requireWaitsAtEveryBoundary(t *testing.T, frame []byte) {
+	t.Helper()
+	for k := 0; k < len(frame); k++ {
+		if _, n, err := FrameAt(frame[:k]); n != 0 || err != nil {
+			t.Fatalf("FrameAt(first %d of %d bytes) = %d, %v; want 0, nil", k, len(frame), n, err)
+		}
+	}
+}
+
 func TestReadFrameGIOPThenMead(t *testing.T) {
-	var stream bytes.Buffer
 	giopMsg := EncodeRequest(cdr.BigEndian, RequestHeader{RequestID: 1, Operation: "op"}, nil)
 	meadMsg := EncodeMead(MeadFailover, []byte{1, 2, 3})
-	stream.Write(meadMsg)
-	stream.Write(giopMsg)
+	stream := append(append([]byte(nil), meadMsg...), giopMsg...)
 
-	f1, err := ReadFrame(&stream)
-	if err != nil {
-		t.Fatal(err)
+	for k := len(meadMsg); k <= len(stream); k++ {
+		f1, n, err := FrameAt(stream[:k])
+		if err != nil || n != len(meadMsg) || f1.Kind != FrameMEAD || !bytes.Equal(f1.Raw, meadMsg) {
+			t.Fatalf("first frame of a %d-byte prefix = %+v, %d, %v", k, f1, n, err)
+		}
+		if cap(f1.Raw) != len(meadMsg) {
+			t.Fatalf("Raw not capacity-capped: len %d, cap %d", len(f1.Raw), cap(f1.Raw))
+		}
 	}
-	if f1.Kind != FrameMEAD || !bytes.Equal(f1.Raw, meadMsg) {
-		t.Fatalf("first frame = %+v", f1)
+	requireWaitsAtEveryBoundary(t, meadMsg)
+	rest := stream[len(meadMsg):]
+	f2, n, err := FrameAt(rest)
+	if err != nil || n != len(giopMsg) || f2.Kind != FrameGIOP || f2.Header.Type != MsgRequest || !bytes.Equal(f2.Raw, giopMsg) {
+		t.Fatalf("second frame = %+v, %d, %v", f2, n, err)
 	}
-	f2, err := ReadFrame(&stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f2.Kind != FrameGIOP || f2.Header.Type != MsgRequest || !bytes.Equal(f2.Raw, giopMsg) {
-		t.Fatalf("second frame = %+v", f2)
-	}
-	if _, err := ReadFrame(&stream); !errors.Is(err, io.EOF) {
-		t.Fatalf("end of stream err = %v", err)
+	requireWaitsAtEveryBoundary(t, giopMsg)
+	if _, n, err := FrameAt(rest[n:]); n != 0 || err != nil {
+		t.Fatalf("end of stream = %d, %v; want 0, nil", n, err)
 	}
 }
 
 func TestReadFrameBadMagic(t *testing.T) {
 	junk := bytes.Repeat([]byte{0x55}, 20)
-	if _, err := ReadFrame(bytes.NewReader(junk)); !errors.Is(err, ErrBadMagic) {
-		t.Fatalf("err = %v, want ErrBadMagic", err)
+	for k := HeaderLen; k <= len(junk); k++ {
+		if _, _, err := FrameAt(junk[:k]); !errors.Is(err, ErrBadMagic) {
+			t.Fatalf("%d bytes: err = %v, want ErrBadMagic", k, err)
+		}
 	}
 }
 
+// TestReadFrameTruncatedBodies: a frame that stops short is never taken for
+// a whole one; FrameAt waits for the rest at every byte boundary.
 func TestReadFrameTruncatedBodies(t *testing.T) {
-	giopMsg := EncodeRequest(cdr.BigEndian, RequestHeader{RequestID: 1, Operation: "op"}, nil)
-	if _, err := ReadFrame(bytes.NewReader(giopMsg[:len(giopMsg)-1])); err == nil {
-		t.Fatal("truncated GIOP frame accepted")
-	}
-	meadMsg := EncodeMead(MeadNotice, []byte{1, 2, 3, 4})
-	if _, err := ReadFrame(bytes.NewReader(meadMsg[:len(meadMsg)-2])); err == nil {
-		t.Fatal("truncated MEAD frame accepted")
-	}
+	requireWaitsAtEveryBoundary(t, EncodeRequest(cdr.BigEndian, RequestHeader{RequestID: 1, Operation: "op"}, nil))
+	requireWaitsAtEveryBoundary(t, EncodeMead(MeadNotice, []byte{1, 2, 3, 4}))
 }
 
 func TestFrameBody(t *testing.T) {
 	meadMsg := EncodeMead(MeadNotice, []byte{9, 9})
-	f, err := ReadFrame(bytes.NewReader(meadMsg))
+	f, _, err := FrameAt(meadMsg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(f.Body(), []byte{9, 9}) {
 		t.Fatalf("Body() = % x", f.Body())
+	}
+	giopMsg := EncodeMessage(cdr.BigEndian, MsgReply, []byte{7})
+	if f, _, _ := FrameAt(giopMsg); !bytes.Equal(f.Body(), []byte{7}) {
+		t.Fatalf("GIOP Body() = % x", f.Body())
 	}
 	var empty Frame
 	if empty.Body() != nil {

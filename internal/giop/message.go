@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync/atomic"
 
 	"mead/internal/cdr"
 )
@@ -27,32 +26,14 @@ const (
 	Magic = "GIOP"
 	// HeaderLen is the fixed GIOP message header length.
 	HeaderLen = 12
-	// DefaultMaxMessageSize is the default bound on accepted message and
-	// frame bodies, guarding against corrupt or hostile length prefixes.
-	DefaultMaxMessageSize = 16 << 20
+	// MaxMessageSize bounds every length a peer announces: a GIOP or MEAD
+	// body, and a fragment train's whole wire length, headers included. It
+	// guards against corrupt or hostile length prefixes.
+	MaxMessageSize = 16 << 20
 	// VersionMajor and VersionMinor identify the GIOP framing in use.
 	VersionMajor = 1
 	VersionMinor = 0
 )
-
-var maxMessageSize atomic.Int64
-
-func init() { maxMessageSize.Store(DefaultMaxMessageSize) }
-
-// MaxMessageSize returns the current bound on message/frame body sizes.
-// Every frame reader (GIOP headers, MEAD headers, fragment reassembly)
-// checks a length prefix against it before allocating.
-func MaxMessageSize() int { return int(maxMessageSize.Load()) }
-
-// SetMaxMessageSize reconfigures the body-size bound (process-wide) and
-// returns the previous value. Values below HeaderLen are clamped to
-// HeaderLen; use DefaultMaxMessageSize to restore the default.
-func SetMaxMessageSize(n int) int {
-	if n < HeaderLen {
-		n = HeaderLen
-	}
-	return int(maxMessageSize.Swap(int64(n)))
-}
 
 // MsgType identifies a GIOP message kind.
 type MsgType uint8
@@ -167,7 +148,7 @@ func ParseHeader(b []byte) (Header, error) {
 	} else {
 		h.Size = uint32(b[8])<<24 | uint32(b[9])<<16 | uint32(b[10])<<8 | uint32(b[11])
 	}
-	if int64(h.Size) > int64(MaxMessageSize()) {
+	if h.Size > MaxMessageSize {
 		return Header{}, fmt.Errorf("%w: %d bytes", ErrTooLarge, h.Size)
 	}
 	return h, nil
@@ -217,50 +198,17 @@ func copyOut(e *cdr.Encoder) []byte {
 	return out
 }
 
-// ReadMessage reads one logical GIOP message from r, transparently
-// reassembling GIOP 1.1 fragments. The returned body is freshly allocated
-// and owned by the caller; steady-state connection readers use
-// ReadMessagePooled instead, which recycles bodies through the buffer pool.
+// ReadMessage reads one logical GIOP message from r, reassembling GIOP 1.1
+// fragments, into a freshly allocated body the caller owns. It is the
+// copying form of ReadMessagePooled, which steady-state connection readers
+// use instead.
 func ReadMessage(r io.Reader) (Header, []byte, error) {
-	h, body, err := readMessageRaw(r)
+	h, mb, err := ReadMessagePooled(r)
 	if err != nil {
 		return Header{}, nil, err
 	}
-	for fragmented := h.Fragmented; fragmented; {
-		fh, err := readHeader(r)
-		if err != nil {
-			return Header{}, nil, fmt.Errorf("giop: reading continuation fragment: %w", err)
-		}
-		if fh.Type != MsgFragment {
-			return Header{}, nil, fmt.Errorf("giop: expected Fragment, got %v", fh.Type)
-		}
-		off := len(body)
-		if off+int(fh.Size) > MaxMessageSize() {
-			return Header{}, nil, fmt.Errorf("%w: reassembled message", ErrTooLarge)
-		}
-		body = growBytes(body, off+int(fh.Size))
-		if _, err := io.ReadFull(r, body[off:]); err != nil {
-			return Header{}, nil, fmt.Errorf("giop: short body for %v: %w", fh.Type, err)
-		}
-		fragmented = fh.Fragmented
-	}
-	h.Fragmented = false
-	h.Size = uint32(len(body))
+	body := make([]byte, len(mb.Bytes()))
+	copy(body, mb.Bytes())
+	mb.Release()
 	return h, body, nil
-}
-
-// growBytes extends b to length n, reallocating geometrically so fragment
-// trains append each body directly into place instead of building and then
-// concatenating intermediate frames.
-func growBytes(b []byte, n int) []byte {
-	if n <= cap(b) {
-		return b[:n]
-	}
-	newCap := 2 * cap(b)
-	if newCap < n {
-		newCap = n
-	}
-	nb := make([]byte, n, newCap)
-	copy(nb, b)
-	return nb
 }

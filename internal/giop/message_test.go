@@ -44,7 +44,7 @@ func TestParseHeaderErrors(t *testing.T) {
 	if _, err := ParseHeader(ver); !errors.Is(err, ErrBadVersion) {
 		t.Fatalf("bad version err = %v", err)
 	}
-	big := EncodeHeader(Header{Major: 1, Type: MsgRequest, Size: uint32(MaxMessageSize()) + 1})
+	big := EncodeHeader(Header{Major: 1, Type: MsgRequest, Size: MaxMessageSize + 1})
 	if _, err := ParseHeader(big); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("too-large err = %v", err)
 	}
@@ -105,7 +105,7 @@ func TestQuickHeaderRoundTrip(t *testing.T) {
 		if little {
 			order = cdr.LittleEndian
 		}
-		h := Header{Major: 1, Minor: minor, Order: order, Type: MsgType(mt % 7), Size: size % uint32(MaxMessageSize())}
+		h := Header{Major: 1, Minor: minor, Order: order, Type: MsgType(mt % 7), Size: size % MaxMessageSize}
 		got, err := ParseHeader(EncodeHeader(h))
 		return err == nil && got == h
 	}

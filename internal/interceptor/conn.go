@@ -31,11 +31,11 @@
 package interceptor
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -87,10 +87,9 @@ type Hooks struct {
 // ErrIntercepted reports a hook-initiated failure.
 var ErrIntercepted = errors.New("interceptor: hook failed the operation")
 
-// srcBufSize sizes the buffered reader over the transport; one buffer fill
-// typically captures several small GIOP frames, collapsing the
-// header-then-body read pairs into a single syscall.
-const srcBufSize = 4096
+// minRead is the least free space each read from the transport is offered;
+// one read typically captures several small GIOP frames.
+const minRead = 4096
 
 // Conn is the frame-aware interposing connection. It implements net.Conn.
 type Conn struct {
@@ -110,27 +109,19 @@ type Conn struct {
 	writeBuf []byte // partial outbound frame awaiting its remaining bytes
 	spare    []byte // the batch's backing array between flushes
 
-	// Read-goroutine state: filtered bytes awaiting delivery to the ORB are
+	// Read-goroutine state. in[inOff:] holds the bytes read from the
+	// transport and not yet framed; framer frames them where they lie, going
+	// on with a fragment train in flight where its last call stopped. The
+	// buffer belongs to the Conn, not to a transport, so read-ahead survives
+	// SwapUnder. Filtered bytes awaiting delivery to the ORB are
 	// readBuf[readOff:]; readErr is a failure met while draining frames
 	// behind bytes that are still to be delivered.
+	in      []byte
+	inOff   int
+	framer  giop.Framer
 	readBuf []byte
 	readOff int
 	readErr error
-
-	// src buffers reads from the transport. It is owned exclusively by the
-	// Read goroutine (SwapUnder only swaps `under`); when that goroutine
-	// notices the transport changed it moves any read-ahead into carry —
-	// those bytes were already delivered by the old replica — and rebuilds
-	// src over the new transport.
-	src     *bufio.Reader
-	srcConn net.Conn // transport src currently wraps
-	carry   []byte   // read-ahead preserved across SwapUnder
-
-	// frameBuf is the reusable backing array for inbound frames
-	// (giop.ReadFrameInto); each frame is copied into readBuf before the
-	// next read, so recycling it is safe as long as hooks do not retain
-	// f.Raw past their return (documented on Hooks).
-	frameBuf []byte
 }
 
 var _ net.Conn = (*Conn)(nil)
@@ -214,44 +205,12 @@ func (c *Conn) isClosed() bool {
 	return c.closed
 }
 
-// srcReader adapts the Conn's buffered, swap-aware inbound byte source to
-// io.Reader for the frame reader. Only the Read goroutine uses it.
-type srcReader struct{ c *Conn }
-
-func (r srcReader) Read(p []byte) (int, error) {
-	c := r.c
-	if len(c.carry) > 0 {
-		n := copy(p, c.carry)
-		c.carry = c.carry[n:]
-		return n, nil
-	}
-	under := c.Under()
-	if c.src == nil || c.srcConn != under {
-		// Transport swapped underneath us (or first read). Preserve any
-		// read-ahead from the old replica before rebuilding the buffer.
-		if c.src != nil {
-			if n := c.src.Buffered(); n > 0 {
-				peeked, _ := c.src.Peek(n)
-				c.carry = append(c.carry, peeked...)
-			}
-		}
-		c.src = bufio.NewReaderSize(under, srcBufSize)
-		c.srcConn = under
-		if len(c.carry) > 0 {
-			n := copy(p, c.carry)
-			c.carry = c.carry[n:]
-			return n, nil
-		}
-	}
-	return c.src.Read(p)
-}
-
-// Read returns filtered stream bytes. It reads whole frames from the
-// underlying transport, passes each through OnReadFrame, and serves the
-// results; the ORB on top performs its usual header-then-body reads and
-// never observes MEAD frames or suppressed messages. One Read filters every
-// whole frame the transport has already delivered, so a burst reaches the
-// ORB's own read buffer in one piece.
+// Read returns filtered stream bytes. It frames the bytes read from the
+// underlying transport, passes each whole frame through OnReadFrame, and
+// serves the results; the ORB on top performs its usual header-then-body
+// reads and never observes MEAD frames or suppressed messages. One Read
+// filters every whole frame the transport has already delivered, so a burst
+// reaches the ORB's own read buffer in one piece.
 func (c *Conn) Read(p []byte) (int, error) {
 	if c.readOff == len(c.readBuf) {
 		c.readBuf, c.readOff = c.readBuf[:0], 0
@@ -265,65 +224,68 @@ func (c *Conn) Read(p []byte) (int, error) {
 }
 
 // fill blocks until readBuf holds filtered bytes, then keeps filtering while
-// another whole frame is already buffered. An error met behind deliverable
-// bytes waits in readErr for the Read that finds readBuf drained.
+// another whole frame is already in `in`; a fragment train counts once its
+// last fragment is in. An error met behind deliverable bytes waits in readErr
+// for the Read that finds readBuf drained.
 func (c *Conn) fill() error {
 	if err := c.readErr; err != nil {
 		c.readErr = nil
 		return err
 	}
-	for len(c.readBuf) == 0 || c.frameBuffered() {
-		if err := c.filterFrame(); err != nil {
+	for {
+		f, n, err := giop.FrameAt(c.in[c.inOff:])
+		switch {
+		case c.isClosed(): // a closed Conn surfaces no more frames
+			err = net.ErrClosed
+		case err != nil: // the head of `in` can never become a frame
+		case n > 0:
+			c.inOff += n
+			out := f.Raw
+			if c.hooks.OnReadFrame != nil {
+				out, err = c.hooks.OnReadFrame(c, f)
+			}
+			if err == nil {
+				c.readBuf = append(c.readBuf, out...)
+			}
+		case len(c.readBuf) > 0:
+			return nil
+		default:
+			err = c.readMore()
+		}
+		if err != nil {
 			if len(c.readBuf) == 0 {
 				return err
 			}
 			c.readErr = err
-			break
+			return nil
 		}
 	}
-	return nil
 }
 
-// filterFrame reads one frame (or, at a stream end, the OnReadEOF
-// substitute) and appends what the ORB should see of it to readBuf.
-func (c *Conn) filterFrame() error {
-	if c.isClosed() {
-		return net.ErrClosed
+// readMore moves the partial frame at in's head to the front and reads once
+// from the transport behind it. At a stream end the dead transport's partial
+// frame is dropped and OnReadEOF may repair the stream, appending its
+// substitute to readBuf.
+func (c *Conn) readMore() error {
+	under := c.Under()
+	n := copy(c.in, c.in[c.inOff:])
+	c.in, c.inOff = slices.Grow(c.in[:n], minRead), 0
+	m, err := under.Read(c.in[n:cap(c.in)])
+	c.in = c.in[:n+m]
+	if m > 0 || err == nil {
+		return nil // a persistent failure is reported again by the next read
 	}
-	f, fb, err := giop.ReadFrameInto(srcReader{c}, c.frameBuf)
-	c.frameBuf = fb
-	if err != nil {
-		if !c.isClosed() && isStreamEnd(err) && c.hooks.OnReadEOF != nil {
-			if sub, resume := c.hooks.OnReadEOF(c, err); resume {
-				c.readBuf = append(c.readBuf, sub...)
-				return nil
-			}
-		}
+	if !isStreamEnd(err) {
 		return err
 	}
-	out := f.Raw
-	if c.hooks.OnReadFrame != nil {
-		if out, err = c.hooks.OnReadFrame(c, f); err != nil {
-			return err
+	c.in = c.in[:0]
+	if !c.isClosed() && c.hooks.OnReadEOF != nil {
+		if sub, resume := c.hooks.OnReadEOF(c, err); resume {
+			c.readBuf = append(c.readBuf, sub...)
+			return nil
 		}
 	}
-	c.readBuf = append(c.readBuf, out...)
-	return nil
-}
-
-// frameBuffered reports whether src already holds a whole frame, so that
-// reading it cannot block. A fragmented message does not count: its
-// continuation frames may still be in flight.
-func (c *Conn) frameBuffered() bool {
-	if c.src == nil || len(c.carry) > 0 {
-		return false
-	}
-	head, _ := c.src.Peek(c.src.Buffered())
-	n, err := peekFrameLen(head)
-	if err != nil || n == 0 {
-		return false
-	}
-	return string(head[:4]) != giop.Magic || head[6]&giop.FlagMoreFragments == 0
+	return err
 }
 
 // Write accumulates outbound bytes until whole frames are available, passes
@@ -387,19 +349,14 @@ func (c *Conn) accept(p []byte) error {
 // so a pass-through frame is copied once, into the batch.
 func (c *Conn) acceptFrames(src []byte) (rest []byte, err error) {
 	for {
-		frameLen, err := peekFrameLen(src)
+		f, n, err := giop.FrameAt(src)
 		if err != nil {
 			return nil, fmt.Errorf("interceptor: outbound stream corrupt: %w", err)
 		}
-		if frameLen == 0 {
+		if n == 0 {
 			return src, nil // wait for the rest of the frame
 		}
-		raw := src[:frameLen:frameLen]
-		f, err := parseFrame(raw)
-		if err != nil {
-			return nil, err
-		}
-		out := raw
+		out := f.Raw
 		if c.hooks.OnWriteFrame != nil {
 			if out, err = c.hooks.OnWriteFrame(c, f); err != nil {
 				return nil, err
@@ -413,7 +370,7 @@ func (c *Conn) acceptFrames(src []byte) (rest []byte, err error) {
 			c.batch = append(c.batch, out...)
 			c.underMu.Unlock()
 		}
-		src = src[frameLen:]
+		src = src[n:]
 	}
 }
 
@@ -471,36 +428,4 @@ func isStreamEnd(err error) bool {
 	// syscall-level resets arrive as *net.OpError wrapping ECONNRESET.
 	var oe *net.OpError
 	return errors.As(err, &oe)
-}
-
-// peekFrameLen reports the total length of the frame at the head of buf.
-// (0, nil) means the frame is incomplete — wait for more bytes. A non-nil
-// error means the head of the stream can never become a valid frame
-// (bad magic/version, or a length prefix over giop.MaxMessageSize).
-func peekFrameLen(buf []byte) (int, error) {
-	return giop.WireFrameLen(buf)
-}
-
-// parseFrame decodes a complete raw frame.
-func parseFrame(raw []byte) (giop.Frame, error) {
-	switch string(raw[:4]) {
-	case giop.Magic:
-		h, err := giop.ParseHeader(raw[:giop.HeaderLen])
-		if err != nil {
-			return giop.Frame{}, err
-		}
-		return giop.Frame{Kind: giop.FrameGIOP, Header: h, Raw: raw}, nil
-	case giop.MeadMagic:
-		t, _, err := giop.ParseMeadHeader(raw[:giop.MeadHeaderLen])
-		if err != nil {
-			return giop.Frame{}, err
-		}
-		return giop.Frame{
-			Kind: giop.FrameMEAD,
-			Mead: giop.MeadMessage{Type: t, Payload: raw[giop.MeadHeaderLen:]},
-			Raw:  raw,
-		}, nil
-	default:
-		return giop.Frame{}, giop.ErrBadMagic
-	}
 }

@@ -150,11 +150,11 @@ func TestWriteHookPiggybacksFrames(t *testing.T) {
 	reply := replyFrame(4)
 	go func() { _, _ = ic.Write(reply) }()
 
-	f1, err := giop.ReadFrame(sEnd)
+	f1, err := readFrame(sEnd)
 	if err != nil || f1.Kind != giop.FrameMEAD {
 		t.Fatalf("first wire frame = %+v, %v", f1, err)
 	}
-	f2, err := giop.ReadFrame(sEnd)
+	f2, err := readFrame(sEnd)
 	if err != nil || f2.Kind != giop.FrameGIOP {
 		t.Fatalf("second wire frame = %+v, %v", f2, err)
 	}
@@ -421,22 +421,25 @@ func TestAddrsAndDeadlines(t *testing.T) {
 	}
 }
 
+// TestPeekFrameLen: the frame boundaries both directions of the Conn rely
+// on, as giop.FrameAt reports them.
 func TestPeekFrameLen(t *testing.T) {
 	req := requestFrame(1, "x")
-	if n, err := peekFrameLen(req); err != nil || n != len(req) {
+	if _, n, err := giop.FrameAt(req); err != nil || n != len(req) {
 		t.Fatalf("peek GIOP = %d,%v", n, err)
 	}
-	if n, err := peekFrameLen(req[:8]); err != nil || n != 0 {
-		t.Fatalf("short header: got %d,%v, want incomplete", n, err)
-	}
-	if n, err := peekFrameLen(req[:len(req)-1]); err != nil || n != 0 {
-		t.Fatalf("incomplete frame: got %d,%v, want incomplete", n, err)
-	}
 	mead := giop.EncodeMead(giop.MeadNotice, []byte{1})
-	if n, err := peekFrameLen(mead); err != nil || n != len(mead) {
+	if _, n, err := giop.FrameAt(mead); err != nil || n != len(mead) {
 		t.Fatalf("peek MEAD = %d,%v", n, err)
 	}
-	if _, err := peekFrameLen([]byte("XXXXXXXXXXXXXXXX")); !errors.Is(err, giop.ErrBadMagic) {
+	for _, frame := range [][]byte{req, mead} {
+		for k := 0; k < len(frame); k++ {
+			if _, n, err := giop.FrameAt(frame[:k]); err != nil || n != 0 {
+				t.Fatalf("%d of %d bytes: got %d,%v, want incomplete", k, len(frame), n, err)
+			}
+		}
+	}
+	if _, _, err := giop.FrameAt([]byte("XXXXXXXXXXXXXXXX")); !errors.Is(err, giop.ErrBadMagic) {
 		t.Fatalf("junk: err = %v, want ErrBadMagic", err)
 	}
 }
@@ -511,14 +514,11 @@ func TestWriteRejectsCorruptMagic(t *testing.T) {
 // giop.MaxMessageSize errors out instead of waiting for (and buffering
 // toward) a frame that would exhaust memory.
 func TestWriteRejectsOversizedFrame(t *testing.T) {
-	old := giop.SetMaxMessageSize(1 << 10)
-	defer giop.SetMaxMessageSize(old)
-
 	cEnd, _ := tcpPair(t)
 	ic := New(cEnd, Hooks{})
 	hdr := giop.EncodeHeader(giop.Header{
 		Major: giop.VersionMajor, Minor: giop.VersionMinor,
-		Type: giop.MsgRequest, Size: 1 << 20,
+		Type: giop.MsgRequest, Size: giop.MaxMessageSize + 1,
 	})
 	if _, err := ic.Write(hdr); !errors.Is(err, giop.ErrTooLarge) {
 		t.Fatalf("err = %v, want ErrTooLarge", err)
@@ -631,7 +631,7 @@ func TestWriteErrorRecoveryPreservesPiggyback(t *testing.T) {
 	if repairs != 1 {
 		t.Fatalf("repairs = %d, want 1", repairs)
 	}
-	f1, err := giop.ReadFrame(sEnd2)
+	f1, err := readFrame(sEnd2)
 	if err != nil || f1.Kind != giop.FrameMEAD {
 		t.Fatalf("first retransmitted frame = %+v, %v; want MEAD piggyback", f1, err)
 	}
@@ -934,4 +934,166 @@ func TestPassThroughFramesDoNotAllocate(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("inbound pass-through frames cost %.1f allocs per frame, want 0", n)
 	}
+}
+
+// readFrame reads one whole frame off r, a byte at a time so that nothing
+// behind it is consumed.
+func readFrame(r io.Reader) (giop.Frame, error) {
+	buf := make([]byte, 0, giop.HeaderLen)
+	for {
+		if f, n, err := giop.FrameAt(buf); err != nil || n > 0 {
+			return f, err
+		}
+		buf = append(buf, 0)
+		if _, err := io.ReadFull(r, buf[len(buf)-1:]); err != nil {
+			return giop.Frame{}, err
+		}
+	}
+}
+
+// scriptConn is a sinkConn whose Reads hand over its chunks one by one (a
+// chunk larger than the caller's buffer is handed over in pieces), then
+// io.EOF.
+type scriptConn struct {
+	sinkConn
+	chunks [][]byte
+}
+
+func (s *scriptConn) Read(p []byte) (int, error) {
+	if len(s.chunks) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, s.chunks[0])
+	if s.chunks[0] = s.chunks[0][n:]; len(s.chunks[0]) == 0 {
+		s.chunks = s.chunks[1:]
+	}
+	return n, nil
+}
+
+// fragmentedReply is a Reply with the given id as a train of two wire
+// frames: the Reply header carrying the more-fragments flag, then a Fragment.
+func fragmentedReply(id uint32) (first, last []byte) {
+	body := replyFrame(id)[giop.HeaderLen:]
+	a, b := body[:len(body)/2], body[len(body)/2:]
+	first = append(giop.EncodeHeader(giop.Header{Major: 1, Minor: 1, Type: giop.MsgReply,
+		Size: uint32(len(a)), Fragmented: true}), a...)
+	last = append(giop.EncodeHeader(giop.Header{Major: 1, Minor: 1, Type: giop.MsgFragment,
+		Size: uint32(len(b))}), b...)
+	return first, last
+}
+
+// TestSwapKeepsReadAhead: frames the old transport delivered ahead of a swap
+// reach the ORB before the new transport's, and a swapping hook sees a
+// fragment train only once its last fragment is in.
+func TestSwapKeepsReadAhead(t *testing.T) {
+	first, last := fragmentedReply(1)
+	train := append(append([]byte(nil), first...), last...)
+	// The hook swaps on reply 1; the new transport holds reply 3.
+	for _, tc := range []struct {
+		name     string
+		old      [][]byte
+		wantRaw1 []byte
+	}{
+		{"two replies in one read", [][]byte{append(replyFrame(1), replyFrame(2)...)}, replyFrame(1)},
+		{"last fragment in a later read", [][]byte{first, append(append([]byte(nil), last...), replyFrame(2)...)}, train},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			oldT := &scriptConn{chunks: tc.old}
+			newT := &scriptConn{chunks: [][]byte{replyFrame(3)}}
+			ic := New(oldT, Hooks{OnReadFrame: func(c *Conn, f giop.Frame) ([]byte, error) {
+				id, err := giop.ReplyIDOf(f.Header.Order, f.Body())
+				if err != nil {
+					return nil, err
+				}
+				if id == 1 {
+					if !bytes.Equal(f.Raw, tc.wantRaw1) {
+						t.Errorf("reply 1 reached the hook as %d bytes, want %d", len(f.Raw), len(tc.wantRaw1))
+					}
+					c.SwapUnder(newT)
+				}
+				return f.Raw, nil
+			}})
+			for _, want := range []uint32{1, 2, 3} {
+				h, body, err := giop.ReadMessage(ic)
+				if err != nil {
+					t.Fatalf("reading reply %d: %v", want, err)
+				}
+				if rh, _, err := giop.DecodeReply(h.Order, body); err != nil || rh.RequestID != want {
+					t.Fatalf("reply = %+v, %v; want id %d", rh, err, want)
+				}
+			}
+			if !oldT.closedWithin(time.Second) {
+				t.Fatal("old transport left open after the swap")
+			}
+		})
+	}
+}
+
+// FuzzReadSplitsLikeFrameAt: a pass-through Conn over a transport that
+// delivers a stream chunk by chunk surfaces exactly the frames giop.FrameAt
+// splits off the whole stream, up to the first error, and never holds more
+// than the frame it is waiting for plus one read.
+func FuzzReadSplitsLikeFrameAt(f *testing.F) {
+	first, last := fragmentedReply(5)
+	whole := bytes.Join([][]byte{requestFrame(1, "op"), giop.EncodeMead(giop.MeadNotice, []byte{1}), replyFrame(2)}, nil)
+	for _, seed := range [][]byte{
+		whole,
+		append(append(append([]byte(nil), first...), last...), replyFrame(6)...),
+		append(append([]byte(nil), whole...), "XXXXXXXXXXXXXXXX"...),
+		whole[:len(whole)-3],
+		append(append([]byte(nil), first...), replyFrame(7)...),
+	} {
+		f.Add(seed, uint8(7))
+		f.Add(seed, uint8(200))
+	}
+	f.Fuzz(func(t *testing.T, stream []byte, chunk uint8) {
+		k := int(chunk%64) + 1
+		var want [][]byte
+		var splitErr error
+		for rest := stream; ; {
+			_, n, err := giop.FrameAt(rest)
+			if err != nil || n == 0 {
+				splitErr = err
+				break
+			}
+			want = append(want, rest[:n])
+			rest = rest[n:]
+		}
+
+		var chunks [][]byte
+		for off := 0; off < len(stream); off += k {
+			chunks = append(chunks, stream[off:min(off+k, len(stream))])
+		}
+		tr := &scriptConn{chunks: chunks}
+		var got [][]byte
+		framed := 0
+		ic := New(tr, Hooks{OnReadFrame: func(c *Conn, f giop.Frame) ([]byte, error) {
+			got = append(got, append([]byte(nil), f.Raw...))
+			framed += len(f.Raw)
+			return f.Raw, nil
+		}})
+		buf := make([]byte, 512)
+		var readErr error
+		for readErr == nil {
+			_, readErr = ic.Read(buf)
+			head := len(stream) - framed
+			if _, n, err := giop.FrameAt(stream[framed:]); err == nil && n > 0 {
+				head = n
+			}
+			if held := len(ic.in) - ic.inOff; held >= head+k {
+				t.Fatalf("Conn holds %d unframed bytes waiting for a %d-byte frame, reading %d at a time", held, head, k)
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("Conn surfaced %d frames, FrameAt splits %d", len(got), len(want))
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("frame %d differs", i)
+			}
+		}
+		if errors.Is(readErr, io.EOF) != (splitErr == nil) {
+			t.Fatalf("Conn ended with %v, FrameAt with %v", readErr, splitErr)
+		}
+	})
 }

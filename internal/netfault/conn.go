@@ -103,7 +103,7 @@ func (c *conn) Write(p []byte) (int, error) {
 			}
 			return len(p), nil
 		}
-		n, ferr := giop.WireFrameLen(c.wbuf)
+		_, n, ferr := giop.FrameAt(c.wbuf)
 		if ferr != nil {
 			if c.mode == modeAuto {
 				c.mode = modeOpaque
@@ -344,7 +344,7 @@ func (c *conn) ingest(b []byte) error {
 	}
 
 	for {
-		n, ferr := giop.WireFrameLen(c.raw)
+		_, n, ferr := giop.FrameAt(c.raw)
 		if ferr != nil {
 			// Desynced inbound stream; hand the bytes up unmodified.
 			c.rbuf = append(c.rbuf, c.raw...)
