@@ -41,12 +41,14 @@ test:
 ## reply, wire bytes identical to the
 ## recorded parent-side streams, SyncLists after a crash view (none) and a join
 ## (one), recovery queries (one) and answers (one per member) per join, one
-## decode of a checkpoint per consuming goroutine, and the zero-allocation
-## guards. `make test` runs them too, but under -race sync.Pool drops a quarter of its Puts,
+## decode of a checkpoint per consuming goroutine, requests read in one piece
+## dispatched concurrently (a lone one runs on the reader: 0 allocs/op per
+## invocation, through the ORB and through a MEAD-message client strategy),
+## and the zero-allocation guards. `make test` runs them too, but under -race sync.Pool drops a quarter of its Puts,
 ## which hides an allocation behind the slack the guards then need; here they
 ## run exact.
 perf-guards:
-	$(GO) test -count=1 -run 'AllocsExact|OneWrite|ShareServerWrites|WriteSyscalls|SplitsBatch|ResendsBatch|DoNotAllocate|DispatchAllocatesNothing|GroupCommits|WakesWriterOnce|KeepsUncoveredOps|FlushesConcurrent|HandOffDialsNothing|ClosesBehind|SequencerNeverCloses|SlowConsumer|WireBytesMatchParent|ReaderDrains|SessionDialsOnce|ReresolveDialsOnlyTheReplica|CloseDoesNotWait|CrashViewSendsNoSyncList|JoinCostsOneAnswerPerMember' \
+	$(GO) test -count=1 -run 'AllocsExact|OneWrite|ShareServerWrites|WriteSyscalls|SplitsBatch|ResendsBatch|DoNotAllocate|DispatchAllocatesNothing|GroupCommits|WakesWriterOnce|KeepsUncoveredOps|FlushesConcurrent|HandOffDialsNothing|ClosesBehind|SequencerNeverCloses|SlowConsumer|WireBytesMatchParent|ReaderDrains|SessionDialsOnce|ReresolveDialsOnlyTheReplica|CloseDoesNotWait|CrashViewSendsNoSyncList|JoinCostsOneAnswerPerMember|DispatchConcurrently' \
 		./internal/giop/ ./internal/interceptor/ ./internal/orb/ ./internal/durable/ ./internal/ftmgr/ \
 		./internal/gcs/ ./internal/namesvc/ ./internal/frame/ ./internal/client/ ./internal/experiment/ \
 		./internal/replica/ ./internal/recovery/
@@ -56,9 +58,11 @@ perf-guards:
 ## and the same-seed determinism check, all race-enabled — and twenty
 ## race-enabled passes of the hand-off tests, which race the close a swap
 ## leaves behind against Close, OnClose and the standby's dial, and of the
-## replica's two rejuvenation-trigger tests: T2 crossed on the write path
-## with the reply's connection open (the connection-closed hook rejuvenates)
-## and with none left open (the migrate callback does).
+## replica's rejuvenation-trigger tests: T2 crossed on the write path with
+## the reply's connection open (the connection-closed hook rejuvenates: after
+## a MEAD hand-off, and behind a lone request the server's reader ran itself)
+## and with none left open (the migrate callback does: two requests in one
+## write, dispatched on goroutines that reply after the close is seen).
 chaos-smoke:
 	$(GO) test -race -count=1 -run 'Chaos|Cut|Blackhole|Partition|Duplicate|ShortWrites|Latency|Seeded|Determin|Table1' \
 		./internal/netfault/ ./internal/experiment/

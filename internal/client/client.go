@@ -300,6 +300,11 @@ func (b *base) resolveAt(idx int) error {
 	return nil
 }
 
+// replicaNames interns the responder's name carried by every reply: a group
+// has a handful of replicas, so steady-state decoding allocates no string.
+// The bound only guards against a hostile server.
+var replicaNames = cdr.NewInterner(64)
+
 // call performs the actual time_of_day invocation on the current reference,
 // carrying the client's at-most-once identity as operation arguments.
 func (b *base) call(out *Outcome) error {
@@ -315,7 +320,7 @@ func (b *base) call(out *Outcome) error {
 		if err != nil {
 			return err
 		}
-		name, err := d.ReadString()
+		name, err := d.ReadStringIntern(replicaNames)
 		if err != nil {
 			return err
 		}

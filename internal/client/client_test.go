@@ -32,13 +32,19 @@ func startInfra(t *testing.T) (*gcs.Hub, *namesvc.Server) {
 
 func startReplicas(t *testing.T, hub *gcs.Hub, names *namesvc.Server, scheme ftmgr.Scheme, n int) []*replica.Replica {
 	t.Helper()
-	cfg := replica.ServiceConfig{
+	return startGroup(t, hub, n, replica.ServiceConfig{
 		Service:         "timeofday",
 		HubAddr:         hub.Addr(),
 		NamesAddr:       names.Addr(),
 		Scheme:          scheme,
 		CheckpointEvery: 5 * time.Millisecond,
-	}
+	})
+}
+
+// startGroup starts n replicas r1…rn of cfg and waits for them to form the
+// group.
+func startGroup(t *testing.T, hub *gcs.Hub, n int, cfg replica.ServiceConfig) []*replica.Replica {
+	t.Helper()
 	reps := make([]*replica.Replica, 0, n)
 	for i := 1; i <= n; i++ {
 		r, err := replica.New("r"+string(rune('0'+i)), cfg)
@@ -285,5 +291,49 @@ func TestCrashReresolveDialsOnlyTheReplica(t *testing.T) {
 				t.Errorf("%d connections opened inside the fail-over, want 1 (the next replica)", n)
 			}
 		})
+	}
+}
+
+// TestMeadMessageInvokeAllocsExact is the exact guard on a whole logical
+// invocation of a warm MEAD-message deployment, client strategy, both
+// interceptors and the replica's servant together (testing.AllocsPerRun counts
+// the process): none. The responder's name is interned, the server's reader
+// dispatches the lone request itself, and checkpoints are an hour apart so
+// that no state transfer runs inside the window.
+func TestMeadMessageInvokeAllocsExact(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under -race sync.Pool drops a quarter of its Puts; `make perf-guards` runs this exact")
+	}
+	hub, names := startInfra(t)
+	startGroup(t, hub, 2, replica.ServiceConfig{
+		Service:         "timeofday",
+		HubAddr:         hub.Addr(),
+		NamesAddr:       names.Addr(),
+		Scheme:          ftmgr.MeadMessage,
+		CheckpointEvery: time.Hour,
+	})
+	s, err := New(Config{Scheme: ftmgr.MeadMessage, Service: "timeofday", NamesAddr: names.Addr(), HubAddr: hub.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var (
+		bad    Outcome
+		failed bool
+	)
+	run := func() {
+		if out := s.Invoke(); out.Err != nil || out.Replica != "r1" {
+			bad, failed = out, true
+		}
+	}
+	for i := 0; i < 200; i++ { // fill the pools
+		run()
+	}
+	got := testing.AllocsPerRun(2000, run)
+	if failed {
+		t.Fatalf("outcome = %+v", bad)
+	}
+	if got != 0 {
+		t.Fatalf("%v allocs per Strategy.Invoke, want 0", got)
 	}
 }

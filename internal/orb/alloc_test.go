@@ -8,10 +8,11 @@ import (
 
 // TestInvocationAllocsExact is the exact guard on what an invocation
 // allocates, client and server together (testing.AllocsPerRun counts the
-// process): 1 per Invoke, on a reference that owns its connection and on one
-// that shares it. That one is the server's — the goroutine it dispatches the
-// Request on — so the client path allocates nothing: the request's build
-// closure stays on the caller's stack, the reply channel comes from the
+// process): none per Invoke, on a reference that owns its connection and on
+// one that shares it. The server's reader dispatches a lone Request itself, so
+// no goroutine is spawned for it (its closure was the one allocation this
+// guard used to allow), and the client path allocates nothing: the request's
+// build closure stays on the caller's stack, the reply channel comes from the
 // connection's free list, and handing the read side over sends a value.
 func TestInvocationAllocsExact(t *testing.T) {
 	if raceEnabled {
@@ -37,8 +38,8 @@ func TestInvocationAllocsExact(t *testing.T) {
 		if failed != nil {
 			t.Fatalf("%s: %v", tr.name, failed)
 		}
-		if got != 1 {
-			t.Errorf("%s: %v allocs/op, want 1", tr.name, got)
+		if got != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", tr.name, got)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package orb
 import (
 	"bytes"
 	"errors"
+	"sync"
 	"testing"
 
 	"mead/internal/cdr"
@@ -11,9 +12,21 @@ import (
 
 // TestDispatchAllocatesNothingOnSuccess is the exact guard on the server's
 // per-request path: decode the pooled message, dispatch to a servant that
-// returns nil, encode and write the reply — 0 allocations. (The errors.As
-// targets used to escape and cost two per request, error or not.)
+// returns nil, encode and write the reply — 0 allocations, whichever way
+// serveConn calls it: on the reader for a lone request, whose reply goes
+// straight to the transport (solo), or on a dispatch goroutine, whose reply
+// is queued and flushed last-writer-out. (The errors.As targets used to
+// escape and cost two per request, error or not.)
 func TestDispatchAllocatesNothingOnSuccess(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		solo bool
+	}{{"reader", true}, {"goroutine", false}} {
+		t.Run(tc.name, func(t *testing.T) { testDispatchAllocatesNothing(t, tc.solo) })
+	}
+}
+
+func testDispatchAllocatesNothing(t *testing.T, solo bool) {
 	key := giop.MakeObjectKey("svc", "obj")
 	s := NewServer()
 	var servantErr error
@@ -25,7 +38,7 @@ func TestDispatchAllocatesNothingOnSuccess(t *testing.T) {
 		RequestID: 7, ResponseExpected: true, ObjectKey: key, Operation: "get",
 	}, nil)
 	conn := &recordingConn{}
-	cw := &connWriter{conn: conn}
+	cw := &connWriter{conn: conn, solo: solo}
 	src := bytes.NewReader(nil)
 	dispatch := func() {
 		src.Reset(request)
@@ -71,5 +84,46 @@ func TestDispatchAllocatesNothingOnSuccess(t *testing.T) {
 		if err != nil || se.RepoID != tc.repo {
 			t.Fatalf("%v: exception %+v, %v", tc.err, se, err)
 		}
+	}
+}
+
+// TestBufferedRequestsDispatchConcurrently: the reader runs a request itself
+// only when nothing is buffered behind it. A [slow, fast] pair that arrives in
+// one write is dispatched on goroutines, so the fast reply comes back while
+// the slow servant is still gated — no head-of-line blocking within a burst.
+func TestBufferedRequestsDispatchConcurrently(t *testing.T) {
+	key := giop.MakeObjectKey("svc", "gated")
+	gate := make(chan struct{})
+	s := NewServer()
+	s.Register(key, ServantFunc(func(op string, args *cdr.Decoder, result *cdr.Encoder) error {
+		if op == "slow" {
+			<-gate
+		}
+		result.WriteString(op)
+		return nil
+	}))
+	if err := s.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = s.Close() })
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release()
+
+	request := func(id uint32, op string) []byte {
+		return giop.EncodeRequest(cdr.BigEndian, giop.RequestHeader{
+			RequestID: id, ResponseExpected: true, ObjectKey: key, Operation: op,
+		}, nil)
+	}
+	conn := rawConn(t, s)
+	send(t, conn, append(request(1, "slow"), request(2, "fast")...))
+	if got := readEchoReply(t, conn, 2); got != "fast" {
+		t.Fatalf("first reply carries %q, want fast", got)
+	}
+	release()
+	if got := readEchoReply(t, conn, 1); got != "slow" {
+		t.Fatalf("second reply carries %q, want slow", got)
 	}
 }

@@ -280,17 +280,24 @@ func (s *ServerORB) serveConn(conn net.Conn) {
 			hook(active)
 		}
 	}()
-	// Requests are decoded on this goroutine but dispatched concurrently,
-	// so one slow servant no longer head-of-line-blocks the connection.
-	// Replies are serialized through cw: GIOP allows interleaved replies
-	// in any order (clients demultiplex by request id), but each reply's
-	// frames must stay contiguous on the wire.
+	// Requests are decoded on this goroutine. A lone one — nothing buffered
+	// behind it, no dispatch goroutine of this connection running — is
+	// dispatched here too, as TAO runs an upcall on the thread that read it,
+	// and its reply, with no other writer to coalesce with, goes straight to
+	// the transport (cw.solo). So a request that arrives after such a
+	// dispatch has begun is read when it returns, and a servant that blocks
+	// back-pressures its own connection. Requests read in one piece get a
+	// goroutine each, so one slow servant does not head-of-line-block the
+	// rest; their replies are serialized and coalesced through cw: GIOP
+	// allows interleaved replies in any order (clients demultiplex by request
+	// id), but each reply's frames must stay contiguous on the wire.
 	//
-	// Message bodies come from the pooled-buffer read path; the dispatch
-	// goroutine owns each request's buffer (the decoded header and argument
-	// stream borrow it) and releases it after the reply is written.
+	// Message bodies come from the pooled-buffer read path; the dispatch owns
+	// each request's buffer (the decoded header and argument stream borrow
+	// it) and releases it after the reply is written.
 	rd := bufio.NewReaderSize(conn, connReadBufSize)
 	cw := &connWriter{conn: conn}
+	var running atomic.Int32 // dispatch goroutines of this connection
 	for {
 		h, mb, err := giop.ReadMessagePooled(rd)
 		if err != nil {
@@ -310,11 +317,19 @@ func (s *ServerORB) serveConn(conn net.Conn) {
 				_ = cw.write(nil, giop.EncodeMessage(cdr.BigEndian, giop.MsgMessageError, nil))
 				return
 			}
+			if rd.Buffered() == 0 && running.Load() == 0 {
+				cw.solo = true
+				s.dispatchRequest(conn, cw, hdr, args, mb)
+				cw.solo = false
+				break
+			}
 			// serveConn's own wg slot keeps the counter above zero, so this
 			// Add cannot race a Wait that already returned.
 			s.wg.Add(1)
+			running.Add(1)
 			go func() {
 				defer s.wg.Done()
+				defer running.Add(-1)
 				s.dispatchRequest(conn, cw, hdr, args, mb)
 			}()
 		case giop.MsgCloseConnection:
@@ -380,10 +395,10 @@ func classifyServantError(err error) (giop.ReplyStatus, *giop.SystemException, *
 }
 
 // dispatchRequest invokes the servant for one decoded Request and writes its
-// reply (through the connection's coalescing writer). It runs on a per-request
-// goroutine and owns mb, the pooled buffer backing hdr and args; both die
-// when it returns. A write failure tears the connection down, which unblocks
-// the reader.
+// reply through cw. It runs on the connection's reader or on a goroutine of
+// its own, as serveConn chooses, and owns mb, the pooled buffer backing hdr
+// and args; both die when it returns. A write failure tears the connection
+// down, which ends the reader's loop.
 func (s *ServerORB) dispatchRequest(conn net.Conn, cw *connWriter, hdr giop.RequestHeader, args *cdr.Decoder, mb *giop.MsgBuf) {
 	defer mb.Release()
 	defer args.Release()

@@ -25,9 +25,11 @@ import (
 // docs/PROTOCOL.md §10.
 type connWriter struct {
 	conn net.Conn
-	// solo marks a connection with one writer at a time by construction (a
-	// client connection owned by one reference, which serializes its calls):
-	// never a second frame to coalesce with — a fact, not a guess from a count.
+	// solo marks one writer at a time by construction — a client connection
+	// owned by one reference, which serializes its calls, or a server
+	// connection while its reader dispatches a lone request itself (set by
+	// serveConn only then): never a second frame to coalesce with, a fact,
+	// not a guess from a count.
 	solo    bool
 	pending atomic.Int64
 

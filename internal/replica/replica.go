@@ -303,9 +303,10 @@ func (r *Replica) Start() (err error) {
 			r.logf("replica %s: migrate threshold crossed, handing clients off", r.name)
 			// T2 is crossed writing a reply, usually with that reply's
 			// connection open, and the connection-closed hook rejuvenates once
-			// the last one goes. But requests are dispatched concurrently: a
-			// client that sent one and closed can have its close seen, below
-			// T2, before the reply is written, and then nothing is left open.
+			// the last one goes. But requests read in one piece are
+			// dispatched concurrently: a client that sent two and closed can
+			// have its close seen, below T2, before a reply is written, and
+			// then nothing is left open.
 			if _, srv := r.live(); srv != nil && srv.ActiveConnections() == 0 {
 				go r.maybeRejuvenate()
 			}

@@ -386,30 +386,48 @@ func TestWritePathT2RejuvenatesOnceAfterTheSwap(t *testing.T) {
 	}
 }
 
-// TestReplyAfterLastCloseRejuvenatesReplica: the ORB dispatches requests
-// concurrently, so a client that sends one request and closes can have its
-// close seen — no connection left open, the replica not yet migrating — before
-// the reply is written. That reply's write hook then crosses T2 with no
-// connection whose close could rejuvenate the replica; only the migrate
-// callback's own quiescence check does.
+// TestReplyAfterLastCloseRejuvenatesReplica: requests that arrive in one
+// piece are dispatched on goroutines of their own, so a client that sends two
+// in one write and closes can have its close seen — no connection left open,
+// the replica not yet migrating — before either reply is written. The first
+// reply's write hook then crosses T2 with no connection whose close could
+// rejuvenate the replica; only the migrate callback's own quiescence check
+// does.
 func TestReplyAfterLastCloseRejuvenatesReplica(t *testing.T) {
+	testLastCloseRejuvenates(t, 2)
+}
+
+// TestLoneRequestCloseRejuvenatesReplica: the server's reader runs a lone
+// request itself, so its reply — the write that crosses T2 — leaves while the
+// connection is still open, and the connection-closed hook, seeing the last
+// close of a migrating replica, rejuvenates it.
+func TestLoneRequestCloseRejuvenatesReplica(t *testing.T) {
+	testLastCloseRejuvenates(t, 1)
+}
+
+// testLastCloseRejuvenates sends requests requests to a replica already past
+// T2 in one write, closes, and waits for the replica to rejuvenate.
+func testLastCloseRejuvenates(t *testing.T, requests int) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	c := startCluster(t, ftmgr.MeadMessage, 2, nil)
 	r1 := c.reps[0]
 	r1.Budget().Consume(r1.Budget().Capacity()) // past T2, no leak running
-	req := giop.EncodeRequest(cdr.BigEndian, giop.RequestHeader{
-		RequestID:        1,
-		ResponseExpected: true,
-		ObjectKey:        giop.MakeObjectKey(c.cfg.Service, replica.ObjectName),
-		Operation:        "time_of_day",
-	}, nil)
+	var wire []byte
+	for id := 1; id <= requests; id++ {
+		wire = append(wire, giop.EncodeRequest(cdr.BigEndian, giop.RequestHeader{
+			RequestID:        uint32(id),
+			ResponseExpected: true,
+			ObjectKey:        giop.MakeObjectKey(c.cfg.Service, replica.ObjectName),
+			Operation:        "time_of_day",
+		}, nil)...)
+	}
 	conn, err := net.Dial("tcp", r1.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// On one P nothing blocks between the write and the close, so when the
-	// server first reads, EOF is already buffered behind the request.
-	if _, err := conn.Write(req); err != nil {
+	// server first reads, EOF is already buffered behind the requests.
+	if _, err := conn.Write(wire); err != nil {
 		t.Fatal(err)
 	}
 	_ = conn.Close()
@@ -419,7 +437,7 @@ func TestReplyAfterLastCloseRejuvenatesReplica(t *testing.T) {
 			t.Fatalf("exit reason = %v, want rejuvenated", r1.ExitReason())
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("r1 crossed T2 after its last connection closed and never rejuvenated")
+		t.Fatal("r1 crossed T2 and its last connection closed, and it never rejuvenated")
 	}
 }
 
